@@ -9,7 +9,6 @@ from .corpus import (
     GenderCounts,
     IngestReport,
     NameType,
-    RawRecord,
     Rejection,
     TableParseError,
     ambiguity_histogram,
@@ -50,8 +49,6 @@ from .ensemble import (
     VotingConfig,
     VotingInferrer,
     majority_vote,
-    two_stage_infer,
-    voting_two_stage_infer,
 )
 from .evaluation import (
     ConfusionCounts,

@@ -10,23 +10,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .evaluation import LabeledTestSet
-from .mle import GenderLabel, Prediction
+from .evaluation import LabeledTestSet, RateType, rate_type
+from .mle import Prediction
 
 logger = logging.getLogger(__name__)
 
 _ASCII_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
-
-
-class RateType(Enum):
-    TF = "TF"
-    FF = "FF"
-    TM = "TM"
-    FM = "FM"
 
 
 def assign_rate_types(
@@ -35,16 +27,8 @@ def assign_rate_types(
     """Pair each decidedly-predicted name with its rate type."""
     if len(predictions) != testset.size:
         raise ValueError(f"{len(predictions)} predictions for {testset.size} test names")
-    rated = []
-    for (name, observed), pred in zip(testset.names, predictions):
-        if pred.label is GenderLabel.FEMALE:
-            rate = RateType.TF if observed is GenderLabel.FEMALE else RateType.FF
-        elif pred.label is GenderLabel.MALE:
-            rate = RateType.TM if observed is GenderLabel.MALE else RateType.FM
-        else:
-            continue
-        rated.append((name, rate))
-    return rated
+    rated = ((name, rate_type(observed, pred.label)) for (name, observed), pred in zip(testset.names, predictions))
+    return [(name, rate) for name, rate in rated if rate is not None]
 
 
 def length_histograms(

@@ -41,21 +41,14 @@ from .inferrers import (
 
 logger = logging.getLogger("namegender")
 
+# option -> (parser for --config values, built-in default)
 _CONFIG_KEYS = {
-    "seed": int,
-    "out_dir": str,
-    "format": str,
-    "tau": float,
-    "test_fraction": float,
-    "bins": int,
-}
-_BUILTIN_DEFAULTS = {
-    "seed": None,
-    "out_dir": ".",
-    "format": "tsv",
-    "tau": mle.DEFAULT_TAU,
-    "test_fraction": 0.1,
-    "bins": None,
+    "seed": (int, None),
+    "out_dir": (str, "."),
+    "format": (str, "tsv"),
+    "tau": (float, mle.DEFAULT_TAU),
+    "test_fraction": (float, 0.1),
+    "bins": (int, None),
 }
 
 
@@ -154,24 +147,19 @@ def build_inferrer(spec: str, config_paths: list[Path] | None = None) -> Inferre
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(f"bad inferrer spec {spec!r} (expected kind:arg)")
+    if kind not in ("mle", "mock", "http", "twostage"):
+        raise ValueError(f"unknown inferrer kind {kind!r}")
+    config_paths.append(Path(arg))
     if kind == "mle":
-        config_paths.append(Path(arg))
-        model = mle.load_model(arg)
-        return MleInferrer(model, id=id)
+        return MleInferrer(mle.load_model(arg), id=id)
     if kind == "mock":
-        config_paths.append(Path(arg))
         return MockInferrer.from_json(arg, id=id)
-    if kind == "http":
-        config_paths.append(Path(arg))
-        config = parse_adapter_config(arg)
-        adapter = HttpAdapter(config)
-        if id is not None:
-            adapter.id = id
-        return adapter
     if kind == "twostage":
-        config_paths.append(Path(arg))
         return _build_twostage(arg, id, config_paths)
-    raise ValueError(f"unknown inferrer kind {kind!r}")
+    adapter = HttpAdapter(parse_adapter_config(arg))
+    if id is not None:
+        adapter.id = id
+    return adapter
 
 
 # --- commands -----------------------------------------------------------------
@@ -192,6 +180,13 @@ def _write_ingest_report(report: corpus.IngestReport, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _out_dir(path: str | Path) -> Path:
+    """The directory at path, created if missing."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _parse_years(text: str) -> range:
     start, sep, end = text.partition("-")
     if not sep:
@@ -201,8 +196,7 @@ def _parse_years(text: str) -> range:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     if args.csv:
         if not args.name_col or not args.gender_col:
             raise ValueError("--csv requires --name-col and --gender-col")
@@ -237,8 +231,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_combine(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     tables = []
     for path in args.tables:
         table = corpus.read_table(path)
@@ -257,54 +250,41 @@ def cmd_combine(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     tables = [corpus.read_table(p) for p in args.tables]
-    stats = [corpus.dataset_stats(t) for t in tables]
+    document: dict[str, list[dict]] = {
+        "datasets": [
+            {"source_id": t.source_id, "name_type": t.name_type.value, **vars(corpus.dataset_stats(t))}
+            for t in tables
+        ]
+    }
+    if len(tables) >= 2:
+        uniqueness = corpus.cross_dataset_uniqueness(tables)
+        document["uniqueness"] = [
+            {"source_id": t.source_id, "unique_across_all": c, "percentage": pct}
+            for t, (c, pct) in zip(tables, uniqueness)
+        ]
+        overlap = corpus.pairwise_overlap(tables)
+        document["overlap"] = [
+            {"source_id": t.source_id, "cells": [{"count": c, "percentage": pct} for c, pct in row]}
+            for t, row in zip(tables, overlap)
+        ]
 
     if args.format == "structured":
-        document: dict[str, object] = {
-            "datasets": [
-                {"source_id": t.source_id, "name_type": t.name_type.value, **vars(s)}
-                for t, s in zip(tables, stats)
-            ]
-        }
-        if len(tables) >= 2:
-            uniqueness = corpus.cross_dataset_uniqueness(tables)
-            document["uniqueness"] = [
-                {"source_id": t.source_id, "unique_across_all": c, "percentage": pct}
-                for t, (c, pct) in zip(tables, uniqueness)
-            ]
-            overlap = corpus.pairwise_overlap(tables)
-            document["overlap"] = [
-                {
-                    "source_id": t.source_id,
-                    "cells": [{"count": c, "percentage": pct} for c, pct in row],
-                }
-                for t, row in zip(tables, overlap)
-            ]
         (out_dir / "stats.json").write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     else:
-        lines = ["source_id\tname_type\ttotal_names\tunique_names\tunique_first\tunique_last\tambiguous"]
-        for t, s in zip(tables, stats):
-            lines.append(
-                f"{t.source_id}\t{t.name_type.value}\t{s.total_names}\t{s.unique_names}"
-                f"\t{s.unique_first}\t{s.unique_last}\t{s.ambiguous}"
-            )
-        (out_dir / "stats.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        if len(tables) >= 2:
-            uniqueness = corpus.cross_dataset_uniqueness(tables)
-            lines = ["source_id\tunique_across_all\tpercentage"]
-            for t, (count, pct) in zip(tables, uniqueness):
-                lines.append(f"{t.source_id}\t{count}\t{pct:.2f}")
-            (out_dir / "uniqueness.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-            overlap = corpus.pairwise_overlap(tables)
-            header = "source_id\t" + "\t".join(t.source_id for t in tables)
-            lines = [header]
-            for t, row in zip(tables, overlap):
-                cells = [f"{count} ({pct:.1f}%)" for count, pct in row]
-                lines.append(t.source_id + "\t" + "\t".join(cells))
-            (out_dir / "overlap.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        datasets = document["datasets"]
+        tsv = {"stats.tsv": ["\t".join(datasets[0])] + ["\t".join(map(str, d.values())) for d in datasets]}
+        if "uniqueness" in document:
+            tsv["uniqueness.tsv"] = ["source_id\tunique_across_all\tpercentage"] + [
+                f"{u['source_id']}\t{u['unique_across_all']}\t{u['percentage']:.2f}" for u in document["uniqueness"]
+            ]
+            tsv["overlap.tsv"] = ["source_id\t" + "\t".join(t.source_id for t in tables)] + [
+                o["source_id"] + "\t" + "\t".join(f"{c['count']} ({c['percentage']:.1f}%)" for c in o["cells"])
+                for o in document["overlap"]
+            ]
+        for filename, lines in tsv.items():
+            (out_dir / filename).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     if args.bins:
         for table in tables:
@@ -330,8 +310,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ValueError("split requires --seed")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     table = corpus.read_table(args.table)
     result = evaluation.split_dataset(table, args.test_fraction, args.seed)
     corpus.write_table(result.train, out_dir / f"{result.train.source_id}.table.tsv")
@@ -350,8 +329,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     table = corpus.read_table(args.table)
     model = mle.train(table, args.tau, args.model_id)
     model_path = out_dir / f"{table.source_id}.model.tsv"
@@ -370,14 +348,11 @@ def _read_names(source: str) -> list[str]:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    config_paths: list[Path] = []
-    if args.model:
-        inferrer: Inferrer = MleInferrer(mle.load_model(args.model))
-        config_paths.append(Path(args.model))
-    elif args.inferrer:
-        inferrer = build_inferrer(args.inferrer, config_paths)
-    else:
+    spec = f"mle:{args.model}" if args.model else args.inferrer
+    if not spec:
         raise ValueError("infer requires --model or --inferrer")
+    config_paths: list[Path] = []
+    inferrer = build_inferrer(spec, config_paths)
     names = _read_names(args.names)
     if not names:
         raise ValueError("no names to infer")
@@ -399,7 +374,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     text = "\n".join(out_lines) + "\n"
     if args.out:
         out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+        _out_dir(out_path.parent)
         out_path.write_text(text, encoding="utf-8")
         inputs = [] if args.names == "-" else [Path(args.names)]
         _write_manifest(args, out_path.parent, "infer", inputs=inputs, configs=config_paths)
@@ -420,8 +395,7 @@ def _tie_notes(inferrers: Sequence[Inferrer]) -> list[str]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     testsets = [evaluation.read_testset(p) for p in args.test]
     config_paths: list[Path] = []
     inferrers = [build_inferrer(spec, config_paths) for spec in args.inferrer]
@@ -444,8 +418,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out_dir)
     testset = evaluation.read_testset(args.test)
     config_paths: list[Path] = []
     inferrer = build_inferrer(args.inferrer, config_paths)
@@ -563,10 +536,10 @@ def _apply_config(args: argparse.Namespace) -> None:
             if attr not in _CONFIG_KEYS:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
             config[attr] = value
-    for attr, builtin in _BUILTIN_DEFAULTS.items():
+    for attr, (parse, builtin) in _CONFIG_KEYS.items():
         if getattr(args, attr, None) is None:
             if attr in config:
-                setattr(args, attr, _CONFIG_KEYS[attr](config[attr]))
+                setattr(args, attr, parse(config[attr]))
             elif hasattr(args, attr):
                 setattr(args, attr, builtin)
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 import csv
 import logging
 import unicodedata
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -73,16 +73,6 @@ class TableParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    """One labeled occurrence as read from a corpus file."""
-
-    name: str
-    gender_tag: str
-    count: int = 1
-    year: int | None = None
-
-
-@dataclass(frozen=True)
 class GenderCounts:
     """Female/male occurrence tallies for one normalized name."""
 
@@ -124,7 +114,7 @@ class IngestReport:
     source: str
     total_rows: int = 0
     retained: int = 0
-    rejections: dict[Rejection, int] = field(default_factory=dict)
+    rejections: Counter[Rejection] = field(default_factory=Counter)
     unmappable_gender: int = 0
     malformed: list[tuple[int, str]] = field(default_factory=list)
     missing_years: list[int] = field(default_factory=list)
@@ -135,9 +125,6 @@ class IngestReport:
             + self.unmappable_gender
             + len(self.malformed)
         )
-
-    def _tally(self, reason: Rejection) -> None:
-        self.rejections[reason] = self.rejections.get(reason, 0) + 1
 
 
 @dataclass(frozen=True)
@@ -202,32 +189,62 @@ class CsvSchema:
     count_column: str | None = None
 
 
+# A raw row: (name, gender tag, count text or None for a count of 1), or
+# the message for a row that could not be split into fields.
+_Row = tuple[str, str, str | None] | str
+
+
+def _sum_counts(triples: Iterable[tuple[str, int, int]]) -> dict[str, GenderCounts]:
+    """Add up (name, female, male) triples per name."""
+    counts: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0])
+    for name, female, male in triples:
+        slot = counts[name]
+        slot[0] += female
+        slot[1] += male
+    return {name: GenderCounts(f, m) for name, (f, m) in counts.items()}
+
+
 def _accumulate(
-    counts: defaultdict[str, list[int]],
-    record: RawRecord,
+    rows: Iterable[tuple[int, str, _Row]],
     report: IngestReport,
     aliases: Mapping[str, str],
     titles: frozenset[str] | set[str],
-) -> None:
-    """Normalize one record and fold it into the running counts."""
-    gender = aliases.get(record.gender_tag.strip().lower())
-    if gender is None:
-        report.unmappable_gender += 1
-        return
-    name = normalize_name(record.name, titles)
-    if isinstance(name, Rejection):
-        report._tally(name)
-        return
-    slot = counts[name]
-    if gender == "female":
-        slot[0] += record.count
-    else:
-        slot[1] += record.count
-    report.retained += 1
+) -> dict[str, GenderCounts]:
+    """Sum per-name counts of (line number, message prefix, row) items.
 
+    Every row is counted in report, and every dropped row is tallied there
+    by reason; the prefix starts the messages of malformed rows.
+    """
 
-def _freeze(counts: Mapping[str, list[int]]) -> dict[str, GenderCounts]:
-    return {name: GenderCounts(f, m) for name, (f, m) in counts.items()}
+    def kept() -> Iterator[tuple[str, int, int]]:
+        for line_no, where, row in rows:
+            report.total_rows += 1
+            if isinstance(row, str):
+                report.malformed.append((line_no, where + row))
+                continue
+            raw_name, tag, raw_count = row
+            count = 1
+            if raw_count is not None:
+                try:
+                    count = int(raw_count)
+                except ValueError:
+                    report.malformed.append((line_no, f"{where}bad count {raw_count!r}"))
+                    continue
+                if count < 1:
+                    report.malformed.append((line_no, f"{where}count {count} < 1"))
+                    continue
+            gender = aliases.get(tag.strip().lower())
+            if gender is None:
+                report.unmappable_gender += 1
+                continue
+            name = normalize_name(raw_name, titles)
+            if isinstance(name, Rejection):
+                report.rejections[name] += 1
+                continue
+            report.retained += 1
+            yield (name, count, 0) if gender == "female" else (name, 0, count)
+
+    return _sum_counts(kept())
 
 
 def ingest_labeled_csv(
@@ -247,9 +264,8 @@ def ingest_labeled_csv(
     path = Path(path)
     source = source_id if source_id is not None else path.stem
     report = IngestReport(source=source)
-    counts: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0])
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -262,40 +278,26 @@ def ingest_labeled_csv(
             if column not in header:
                 raise ValueError(f"{path}: column {column!r} not in header {header}")
             positions[column] = header.index(column)
+        name_at, gender_at = positions[schema.name_column], positions[schema.gender_column]
+        count_at = positions.get(schema.count_column)
 
-        for row in reader:
-            report.total_rows += 1
-            line_no = reader.line_num
-            try:
-                name = row[positions[schema.name_column]]
-                gender_tag = row[positions[schema.gender_column]]
-            except IndexError:
-                report.malformed.append((line_no, "row has too few fields"))
-                continue
-            count = 1
-            if schema.count_column is not None:
-                raw_count = row[positions[schema.count_column]] if positions[schema.count_column] < len(row) else ""
-                try:
-                    count = int(raw_count)
-                except ValueError:
-                    report.malformed.append((line_no, f"bad count {raw_count!r}"))
+        def rows() -> Iterator[tuple[int, str, _Row]]:
+            for row in reader:
+                if max(name_at, gender_at) >= len(row):
+                    yield reader.line_num, "", "row has too few fields"
                     continue
-                if count < 1:
-                    report.malformed.append((line_no, f"count {count} < 1"))
-                    continue
-            if not gender_tag.strip():
-                report.unmappable_gender += 1
-                continue
-            record = RawRecord(name=name, gender_tag=gender_tag, count=count)
-            _accumulate(counts, record, report, aliases, titles)
+                raw_count = None if count_at is None else row[count_at] if count_at < len(row) else ""
+                yield reader.line_num, "", (row[name_at], row[gender_at], raw_count)
 
-    if not counts:
+        entries = _accumulate(rows(), report, aliases, titles)
+
+    if not entries:
         detail = ""
         if report.malformed:
             line_no, message = report.malformed[0]
             detail = f" (first bad line {line_no}: {message})"
         raise EmptyCorpusError(f"{path}: no records retained after cleaning{detail}")
-    return FrequencyTable(_freeze(counts), name_type, source), report
+    return FrequencyTable(entries, name_type, source), report
 
 
 def ingest_ssa_years(
@@ -317,39 +319,24 @@ def ingest_ssa_years(
     directory = Path(directory)
     source = source_id if source_id is not None else f"ssa{min(years)}-{max(years)}"
     report = IngestReport(source=source)
-    counts: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0])
 
-    for year in years:
-        path = directory / f"yob{year}.txt"
-        if not path.exists():
-            report.missing_years.append(year)
-            logger.warning("missing SSA year file: %s", path)
-            continue
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                report.total_rows += 1
-                parts = line.split(",")
-                if len(parts) != 3:
-                    report.malformed.append((line_no, f"{path.name}: expected 3 fields"))
-                    continue
-                name, tag, raw_count = parts
-                try:
-                    count = int(raw_count)
-                except ValueError:
-                    report.malformed.append((line_no, f"{path.name}: bad count {raw_count!r}"))
-                    continue
-                if count < 1:
-                    report.malformed.append((line_no, f"{path.name}: count {count} < 1"))
-                    continue
-                record = RawRecord(name=name, gender_tag=tag, count=count, year=year)
-                _accumulate(counts, record, report, aliases, titles)
+    def rows() -> Iterator[tuple[int, str, _Row]]:
+        for year in years:
+            path = directory / f"yob{year}.txt"
+            if not path.exists():
+                report.missing_years.append(year)
+                logger.warning("missing SSA year file: %s", path)
+                continue
+            with path.open(encoding="utf-8") as fh:
+                for line_no, line in enumerate(fh, start=1):
+                    parts = line.strip().split(",")
+                    if parts != [""]:
+                        yield line_no, f"{path.name}: ", tuple(parts) if len(parts) == 3 else "expected 3 fields"
 
-    if not counts:
+    entries = _accumulate(rows(), report, aliases, titles)
+    if not entries:
         raise EmptyCorpusError(f"{directory}: no records retained for years {years[0]}-{years[-1]}")
-    return FrequencyTable(_freeze(counts), NameType.FIRST, source), report
+    return FrequencyTable(entries, NameType.FIRST, source), report
 
 
 def merge_tables(tables: Sequence[FrequencyTable]) -> FrequencyTable:
@@ -361,14 +348,8 @@ def merge_tables(tables: Sequence[FrequencyTable]) -> FrequencyTable:
             raise ValueError(
                 f"merge requires first-name tables; {table.source_id!r} is {table.name_type.value}"
             )
-    counts: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0])
-    for table in tables:
-        for name, gc in table.entries.items():
-            slot = counts[name]
-            slot[0] += gc.female
-            slot[1] += gc.male
-    source = "+".join(t.source_id for t in tables)
-    return FrequencyTable(_freeze(counts), NameType.FIRST, source)
+    entries = _sum_counts((name, gc.female, gc.male) for t in tables for name, gc in t.entries.items())
+    return FrequencyTable(entries, NameType.FIRST, "+".join(t.source_id for t in tables))
 
 
 def to_first_names(table: FrequencyTable) -> FrequencyTable:
@@ -380,20 +361,11 @@ def to_first_names(table: FrequencyTable) -> FrequencyTable:
     """
     if table.name_type is NameType.FIRST:
         return table
-    counts: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0])
-    dropped = 0
-    for full, gc in table.entries.items():
-        first, _ = split_full_name(full)
-        cleaned = normalize_name(first)
-        if isinstance(cleaned, Rejection):
-            dropped += 1
-            continue
-        slot = counts[cleaned]
-        slot[0] += gc.female
-        slot[1] += gc.male
-    if dropped:
-        logger.info("to_first_names: dropped %d first tokens failing cleaning", dropped)
-    return FrequencyTable(_freeze(counts), NameType.FIRST, table.source_id)
+    firsts = [(normalize_name(split_full_name(full)[0]), gc) for full, gc in table.entries.items()]
+    kept = [(name, gc.female, gc.male) for name, gc in firsts if not isinstance(name, Rejection)]
+    if len(kept) < len(firsts):
+        logger.info("to_first_names: dropped %d first tokens failing cleaning", len(firsts) - len(kept))
+    return FrequencyTable(_sum_counts(kept), NameType.FIRST, table.source_id)
 
 
 def dataset_stats(table: FrequencyTable) -> DatasetStats:

@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .inferrers import Inferrer
 from .mle import GenderLabel, MleModel, Prediction, mle_female
 
 DEFAULT_DEFER_BAND = (0.25, 0.75)
-
-
-class TiePolicy(Enum):
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,6 @@ class TwoStageConfig:
 @dataclass(frozen=True)
 class VotingConfig:
     voters: tuple[Inferrer, Inferrer, Inferrer]
-    tie_policy: TiePolicy = TiePolicy.UNKNOWN
 
     def __post_init__(self) -> None:
         if len(self.voters) != 3:
@@ -71,16 +65,8 @@ def majority_vote(predictions: Sequence[Prediction], source: str = "vote") -> Pr
     return Prediction(label, p_female, source)
 
 
-def _is_tie(predictions: Sequence[Prediction]) -> bool:
-    female = sum(1 for p in predictions if p.label is GenderLabel.FEMALE)
-    male = sum(1 for p in predictions if p.label is GenderLabel.MALE)
-    return female == male and (female + male) > 0
-
-
 class VotingInferrer(Inferrer):
     """Majority vote across exactly three inferrers."""
-
-    kind = "voting"
 
     def __init__(self, config: VotingConfig, id: str = "vote") -> None:
         super().__init__(id)
@@ -91,9 +77,11 @@ class VotingInferrer(Inferrer):
         ballots = [voter.infer_batch(names) for voter in self.config.voters]
         out = []
         for votes in zip(*ballots):
-            if _is_tie(votes):
+            pred = majority_vote(votes, source=self.id)
+            # an unknown outcome despite a definite ballot is a tie
+            if pred.label is GenderLabel.UNKNOWN and any(v.label in (GenderLabel.FEMALE, GenderLabel.MALE) for v in votes):
                 self.tie_count += 1
-            out.append(majority_vote(votes, source=self.id))
+            out.append(pred)
         return out
 
 
@@ -101,8 +89,6 @@ class TwoStageInferrer(Inferrer):
     """Frequency model first; deferred and out-of-vocabulary names go to
     the fallback. Sources are prefixed stage1:/stage2: to record which
     stage answered."""
-
-    kind = "two-stage"
 
     def __init__(self, config: TwoStageConfig, id: str | None = None) -> None:
         if id is None:
@@ -127,18 +113,3 @@ class TwoStageInferrer(Inferrer):
             for (i, _), pred in zip(deferred, answers):
                 out[i] = Prediction(pred.label, pred.p_female, f"stage2:{pred.source}")
         return out  # type: ignore[return-value]
-
-
-def two_stage_infer(config: TwoStageConfig, name: str) -> Prediction:
-    return TwoStageInferrer(config).infer(name)
-
-
-def voting_two_stage_infer(
-    model: MleModel,
-    voting: VotingConfig,
-    band: tuple[float, float],
-    name: str,
-) -> Prediction:
-    """Two-stage control flow with a majority vote as the fallback."""
-    fallback = VotingInferrer(voting)
-    return two_stage_infer(TwoStageConfig(model, fallback, band), name)

@@ -16,9 +16,11 @@ average together with their sizes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import FrequencyTable, TableParseError
 from .inferrers import Inferrer
@@ -127,30 +129,44 @@ class ConfusionCounts:
         )
 
 
-def score(testset: LabeledTestSet, predictions: Sequence[Prediction]) -> ConfusionCounts:
-    """Tally predictions against observed genders.
+class RateType(Enum):
+    """Outcome of a decided prediction: true/false female, true/false male."""
 
-    false_female = predicted female, observed male; false_male symmetric.
+    TF = "TF"
+    FF = "FF"
+    TM = "TM"
+    FM = "FM"
+
+
+def rate_type(observed: GenderLabel, predicted: GenderLabel) -> RateType | None:
+    """Classify one prediction; None when it is undecided (ambiguous or unknown).
+
+    FF = predicted female, observed male; FM symmetric.
     """
+    if predicted is GenderLabel.FEMALE:
+        return RateType.TF if observed is GenderLabel.FEMALE else RateType.FF
+    if predicted is GenderLabel.MALE:
+        return RateType.TM if observed is GenderLabel.MALE else RateType.FM
+    return None
+
+
+def score(testset: LabeledTestSet, predictions: Sequence[Prediction]) -> ConfusionCounts:
+    """Tally predictions against observed genders."""
     if len(predictions) != testset.size:
         raise ValueError(f"{len(predictions)} predictions for {testset.size} test names")
-    tf = tm = ff = fm = uf = um = 0
-    for (_, observed), pred in zip(testset.names, predictions):
-        if pred.label is GenderLabel.FEMALE:
-            if observed is GenderLabel.FEMALE:
-                tf += 1
-            else:
-                ff += 1
-        elif pred.label is GenderLabel.MALE:
-            if observed is GenderLabel.MALE:
-                tm += 1
-            else:
-                fm += 1
-        elif observed is GenderLabel.FEMALE:
-            uf += 1
-        else:
-            um += 1
-    return ConfusionCounts(tf, tm, ff, fm, uf, um)
+    # undecided predictions are tallied under their observed gender
+    tally = Counter(
+        rate_type(observed, pred.label) or observed
+        for (_, observed), pred in zip(testset.names, predictions)
+    )
+    return ConfusionCounts(
+        tally[RateType.TF],
+        tally[RateType.TM],
+        tally[RateType.FF],
+        tally[RateType.FM],
+        tally[GenderLabel.FEMALE],
+        tally[GenderLabel.MALE],
+    )
 
 
 @dataclass(frozen=True)
@@ -162,15 +178,6 @@ class MetricValues:
     recall: float | None
     f1: float | None
     gbe: float | None
-
-    def as_dict(self) -> dict[str, float | None]:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "gbe": self.gbe,
-        }
 
 
 def metrics(counts: ConfusionCounts) -> MetricValues:
@@ -241,76 +248,45 @@ class MetricsReport:
             values[key] = aggregate((getattr(r.values, key), r.size) for r in rows)
         return MetricValues(**values), sum(r.size for r in rows)
 
-    @staticmethod
-    def _fmt(value: float | None) -> str:
-        return "NA" if value is None else f"{value:.2f}"
+    def _records(self) -> Iterator[dict[str, object]]:
+        """Each inferrer's rows in order, then its ALL row; NA metrics are None."""
+        for inferrer_id in self.inferrer_ids():
+            agg, covered = self.aggregate_for(inferrer_id)
+            rows = [r for r in self.rows if r.inferrer_id == inferrer_id]
+            for row in rows + [ReportRow(inferrer_id, "ALL", covered, None, agg)]:
+                values = asdict(row.values) if row.values else dict.fromkeys(_METRIC_KEYS)
+                yield {
+                    "inferrer": row.inferrer_id,
+                    "dataset": row.dataset_id,
+                    "size": row.size,
+                    "skipped": row.skipped,
+                    **values,
+                }
+
+    def _cells(self) -> list[list[str]]:
+        return [
+            [r["inferrer"], r["dataset"], str(r["size"])]
+            + ["NA" if r[key] is None else f"{r[key]:.2f}" for key in _METRIC_KEYS]
+            for r in self._records()
+        ]
 
     def to_tsv(self) -> str:
-        lines = ["inferrer\tdataset\tsize\taccuracy\tprecision\trecall\tf1\tgbe"]
-        for inferrer_id in self.inferrer_ids():
-            for row in self.rows:
-                if row.inferrer_id != inferrer_id:
-                    continue
-                cells = [row.inferrer_id, row.dataset_id, str(row.size)]
-                if row.values is None:
-                    cells += ["NA"] * 5
-                else:
-                    cells += [self._fmt(getattr(row.values, key)) for key in _METRIC_KEYS]
-                lines.append("\t".join(cells))
-            agg, covered = self.aggregate_for(inferrer_id)
-            cells = [inferrer_id, "ALL", str(covered)]
-            cells += [self._fmt(getattr(agg, key)) for key in _METRIC_KEYS]
-            lines.append("\t".join(cells))
+        lines = ["\t".join(("inferrer", "dataset", "size") + _METRIC_KEYS)]
+        lines += ["\t".join(cells) for cells in self._cells()]
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         """Aligned table: Accuracy, Precision, Recall, F1, GBE."""
         header = ["Inferrer", "Dataset", "Size", "Accuracy", "Precision", "Recall", "F1", "GBE"]
-        body: list[list[str]] = []
-        for inferrer_id in self.inferrer_ids():
-            for row in self.rows:
-                if row.inferrer_id != inferrer_id:
-                    continue
-                cells = [row.inferrer_id, row.dataset_id, str(row.size)]
-                if row.values is None:
-                    cells += ["NA"] * 5
-                else:
-                    cells += [self._fmt(getattr(row.values, key)) for key in _METRIC_KEYS]
-                body.append(cells)
-            agg, covered = self.aggregate_for(inferrer_id)
-            body.append(
-                [inferrer_id, "ALL", str(covered)]
-                + [self._fmt(getattr(agg, key)) for key in _METRIC_KEYS]
-            )
+        body = self._cells()
         widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
-        out = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-        for cells in body:
-            out.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(cells)))
-        for note in self.notes:
-            out.append(f"note: {note}")
+        out = ["  ".join(c.ljust(widths[i]) for i, c in enumerate(cells)) for cells in [header] + body]
+        out += [f"note: {note}" for note in self.notes]
         return "\n".join(out) + "\n"
 
     def to_records(self) -> list[dict[str, object]]:
         """Machine-readable records, one per inferrer x dataset plus aggregates."""
-        records: list[dict[str, object]] = []
-        for inferrer_id in self.inferrer_ids():
-            for row in self.rows:
-                if row.inferrer_id != inferrer_id:
-                    continue
-                record: dict[str, object] = {
-                    "inferrer": row.inferrer_id,
-                    "dataset": row.dataset_id,
-                    "size": row.size,
-                    "skipped": row.skipped,
-                }
-                values = row.values.as_dict() if row.values else dict.fromkeys(_METRIC_KEYS)
-                record.update(values)
-                records.append(record)
-            agg, covered = self.aggregate_for(inferrer_id)
-            record = {"inferrer": inferrer_id, "dataset": "ALL", "size": covered, "skipped": False}
-            record.update(agg.as_dict())
-            records.append(record)
-        return records
+        return list(self._records())
 
 
 def evaluate_run(

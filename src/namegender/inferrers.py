@@ -9,6 +9,7 @@ reference, endpoint unreachable on the very first request) fail fast.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -26,8 +27,6 @@ import requests
 from .mle import GenderLabel, MleModel, Prediction
 
 logger = logging.getLogger(__name__)
-
-UNLIMITED_BATCH = 10**9
 
 # Six-way label vocabulary collapsed onto the four labels we score.
 DEFAULT_LABEL_ALIASES: Mapping[str, GenderLabel] = {
@@ -57,22 +56,14 @@ class AdapterUnreachableError(RuntimeError):
 class Inferrer(ABC):
     """Base class for anything that can label a batch of names."""
 
-    kind: str = "abstract"
-
-    def __init__(self, id: str, batch_limit: int = UNLIMITED_BATCH) -> None:
-        if batch_limit < 1:
-            raise ValueError("batch_limit must be positive")
+    def __init__(self, id: str) -> None:
         self.id = id
-        self.batch_limit = batch_limit
 
     def infer_batch(self, names: Sequence[str]) -> list[Prediction]:
         """One prediction per input name, in input order."""
         if not names:
             raise ValueError("names must be non-empty")
-        out: list[Prediction] = []
-        for start in range(0, len(names), self.batch_limit):
-            out.extend(self._infer_chunk(names[start : start + self.batch_limit]))
-        return out
+        return self._infer_chunk(names)
 
     def infer(self, name: str) -> Prediction:
         return self.infer_batch([name])[0]
@@ -84,8 +75,6 @@ class Inferrer(ABC):
 
 class MockInferrer(Inferrer):
     """Deterministic inferrer backed by a fixed name -> prediction map."""
-
-    kind = "mock"
 
     def __init__(self, id: str, predictions: Mapping[str, tuple[GenderLabel, float | None]]) -> None:
         super().__init__(id)
@@ -116,8 +105,6 @@ class MockInferrer(Inferrer):
 
 class MleInferrer(Inferrer):
     """Adapter exposing a trained MleModel through the batch interface."""
-
-    kind = "builtin-mle"
 
     def __init__(self, model: MleModel, id: str | None = None) -> None:
         super().__init__(id if id is not None else model.model_id)
@@ -221,6 +208,8 @@ class ExternalAdapterConfig:
             raise AdapterConfigError(f"bad confidence_scale {self.confidence_scale!r}")
         if self.max_in_flight < 1:
             raise AdapterConfigError("max_in_flight must be >= 1")
+        if self.batch_limit < 1:
+            raise AdapterConfigError("batch_limit must be >= 1")
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -292,15 +281,15 @@ def _walk_path(data: object, dotted: str) -> object:
 class HttpAdapter(Inferrer):
     """Generic adapter for services answering one GET per name with JSON.
 
-    Responses are cached on disk under <cache_dir>/<adapter-id>/<name>.json
-    as the verbatim response text, so repeated evaluations do not re-spend
-    request quota.
+    Responses that map to a label are cached on disk under
+    <cache_dir>/<adapter-id>/<name>.json as the verbatim response text, so
+    repeated evaluations do not re-spend request quota. The name is
+    percent-encoded; when that would exceed 255 bytes, the file is named by
+    the SHA-256 hex digest of the name instead.
     """
 
-    kind = "external-http"
-
     def __init__(self, config: ExternalAdapterConfig, session=None) -> None:
-        super().__init__(config.id, config.batch_limit)
+        super().__init__(config.id)
         self.config = config
         self._session = session
         self._limiter = RateLimiter(config.rate_limit)
@@ -323,13 +312,13 @@ class HttpAdapter(Inferrer):
     def _cache_path(self, name: str) -> Path | None:
         if self.config.cache_dir is None:
             return None
-        return Path(self.config.cache_dir) / self.id / (quote(name, safe="") + ".json")
+        stem = quote(name, safe="")
+        if len(stem) + len(".json") > 255:
+            stem = hashlib.sha256(name.encode("utf-8")).hexdigest()
+        return Path(self.config.cache_dir) / self.id / (stem + ".json")
 
     def _fetch(self, name: str, credential: str) -> str | None:
         """Return raw response text, or None when all attempts failed."""
-        cache = self._cache_path(name)
-        if cache is not None and cache.exists():
-            return cache.read_text(encoding="utf-8")
         url = self.config.endpoint.format(name=quote(name, safe=""), credential=credential)
         session = self._get_session()
         last_error: Exception | None = None
@@ -349,44 +338,44 @@ class HttpAdapter(Inferrer):
                 logger.warning("%s: %r -> HTTP %d", self.id, name, response.status_code)
                 return None
             self._ever_succeeded = True
-            text = response.text
-            if cache is not None:
-                cache.parent.mkdir(parents=True, exist_ok=True)
-                with tempfile.NamedTemporaryFile(
-                    "w", dir=cache.parent, encoding="utf-8", delete=False
-                ) as tmp:
-                    tmp.write(text)
-                os.replace(tmp.name, cache)
-            return text
+            return response.text
         if isinstance(last_error, (requests.ConnectionError,)) and not self._ever_succeeded:
             raise AdapterUnreachableError(f"{self.id}: endpoint unreachable: {last_error}")
         logger.warning("%s: %r failed after %d attempts: %s", self.id, name, self.config.max_attempts, last_error)
         return None
 
-    def _parse(self, name: str, text: str) -> Prediction:
+    def _parse(self, text: str) -> Prediction:
+        data = json.loads(text)
+        confidence = None
+        if self.config.confidence_path:
+            confidence = _walk_path(data, self.config.confidence_path)
+        return map_external_label(
+            _walk_path(data, self.config.label_path),
+            confidence,
+            self.config.label_aliases,
+            default=self.config.default_label,
+            confidence_scale=self.config.confidence_scale,
+            source=self.id,
+        )
+
+    def _infer_one(self, name: str, credential: str) -> Prediction:
+        """Answer from the cache or the service; only mappable responses are cached."""
+        cache = self._cache_path(name)
+        cached = cache is not None and cache.exists()
+        text = cache.read_text(encoding="utf-8") if cached else self._fetch(name, credential)  # type: ignore[union-attr]
+        if text is None:
+            return Prediction(GenderLabel.UNKNOWN, None, self.id)
         try:
-            data = json.loads(text)
-            label = _walk_path(data, self.config.label_path)
-            confidence = None
-            if self.config.confidence_path:
-                confidence = _walk_path(data, self.config.confidence_path)
-            return map_external_label(
-                label,
-                confidence,
-                self.config.label_aliases,
-                default=self.config.default_label,
-                confidence_scale=self.config.confidence_scale,
-                source=self.id,
-            )
+            prediction = self._parse(text)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             logger.warning("%s: unusable response for %r: %s", self.id, name, exc)
             return Prediction(GenderLabel.UNKNOWN, None, self.id)
-
-    def _infer_one(self, name: str, credential: str) -> Prediction:
-        text = self._fetch(name, credential)
-        if text is None:
-            return Prediction(GenderLabel.UNKNOWN, None, self.id)
-        return self._parse(name, text)
+        if cache is not None and not cached:
+            cache.parent.mkdir(parents=True, exist_ok=True)
+            with tempfile.NamedTemporaryFile("w", dir=cache.parent, encoding="utf-8", delete=False) as tmp:
+                tmp.write(text)
+            os.replace(tmp.name, cache)
+        return prediction
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
         credential = self._credential()
@@ -394,5 +383,10 @@ class HttpAdapter(Inferrer):
             return [self._infer_one(name, credential) for name in names]
         from concurrent.futures import ThreadPoolExecutor
 
+        # the pool is handed at most batch_limit names at a time
+        limit = self.config.batch_limit
+        out: list[Prediction] = []
         with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-            return list(pool.map(lambda n: self._infer_one(n, credential), names))
+            for start in range(0, len(names), limit):
+                out.extend(pool.map(lambda n: self._infer_one(n, credential), names[start : start + limit]))
+        return out

@@ -124,6 +124,14 @@ def write_csv(path, rows, header="name,gender,count"):
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
+def test_csv_with_utf8_bom_loads(tmp_path):
+    path = tmp_path / "names.csv"
+    path.write_bytes("\ufeffname,gender,count\nanna,F,2\nbo,M,1\n".encode("utf-8"))
+    table, report = ingest_labeled_csv(path, CsvSchema("name", "gender", "count"))
+    assert table.entries == {"anna": GenderCounts(2, 0), "bo": GenderCounts(0, 1)}
+    assert report.total_rows == 2
+
+
 def test_csv_counts_accumulate(tmp_path):
     path = tmp_path / "names.csv"
     write_csv(path, ["anna,F,2", "anna,M,1"])

@@ -11,8 +11,6 @@ from namegender.ensemble import (
     VotingConfig,
     VotingInferrer,
     majority_vote,
-    two_stage_infer,
-    voting_two_stage_infer,
 )
 from namegender.inferrers import Inferrer, MockInferrer
 from namegender.mle import GenderLabel, Prediction, train
@@ -118,6 +116,17 @@ def test_voting_inferrer_counts_ties():
     assert voting.tie_count == 2
 
 
+def test_voting_inferrer_counts_no_tie_without_a_definite_ballot():
+    voters = (
+        MockInferrer("v1", {"pat": (A, 0.5)}),
+        MockInferrer("v2", {}),
+        MockInferrer("v3", {}),
+    )
+    voting = VotingInferrer(VotingConfig(voters))
+    assert voting.infer("pat").label is U
+    assert voting.tie_count == 0
+
+
 def test_voting_inferrer_tags_source():
     voters = (
         MockInferrer("v1", {"ana": (F, 1.0)}),
@@ -135,7 +144,7 @@ def test_voting_inferrer_tags_source():
 def test_confident_name_short_circuits_fallback():
     fallback = CountingMock()
     config = TwoStageConfig(model_with({"gwen": (95, 5)}), fallback)
-    pred = two_stage_infer(config, "gwen")
+    pred = TwoStageInferrer(config).infer("gwen")
     assert pred.label is F
     assert pred.source == "stage1:mle:m"
     assert fallback.calls == 0
@@ -144,7 +153,7 @@ def test_confident_name_short_circuits_fallback():
 def test_band_interior_defers():
     fallback = CountingMock(label=M, p_female=0.2)
     config = TwoStageConfig(model_with({"kim": (6, 4)}), fallback)  # p = 0.60
-    pred = two_stage_infer(config, "kim")
+    pred = TwoStageInferrer(config).infer("kim")
     assert pred.label is M
     assert pred.source == "stage2:counter"
     assert fallback.calls == 1
@@ -153,14 +162,14 @@ def test_band_interior_defers():
 def test_band_endpoints_defer():
     fallback = CountingMock(label=F, p_female=0.9)
     config = TwoStageConfig(model_with({"lo": (1, 3), "hi": (3, 1)}), fallback)  # 0.25, 0.75
-    assert two_stage_infer(config, "lo").source == "stage2:counter"
-    assert two_stage_infer(config, "hi").source == "stage2:counter"
+    assert TwoStageInferrer(config).infer("lo").source == "stage2:counter"
+    assert TwoStageInferrer(config).infer("hi").source == "stage2:counter"
 
 
 def test_out_of_vocabulary_routes_to_fallback():
     fallback = CountingMock(label=M, p_female=0.05)
     config = TwoStageConfig(model_with({"ann": (9, 1)}), fallback)
-    pred = two_stage_infer(config, "zorro")
+    pred = TwoStageInferrer(config).infer("zorro")
     assert pred.label is M
     assert pred.source == "stage2:counter"
 
@@ -223,7 +232,7 @@ def make_voters(mapping):
 def test_confident_name_skips_voters():
     voters = make_voters({})
     model = model_with({"zed": (1, 49)})  # p = 0.02
-    pred = voting_two_stage_infer(model, VotingConfig(voters), (0.25, 0.75), "zed")
+    pred = TwoStageInferrer(TwoStageConfig(model, VotingInferrer(VotingConfig(voters)), (0.25, 0.75))).infer("zed")
     assert pred.label is M
     assert pred.source.startswith("stage1:")
 
@@ -237,7 +246,7 @@ def test_ambiguous_name_decided_by_vote():
         }
     )
     model = model_with({"pat": (1, 1)})
-    pred = voting_two_stage_infer(model, VotingConfig(voters), (0.25, 0.75), "pat")
+    pred = TwoStageInferrer(TwoStageConfig(model, VotingInferrer(VotingConfig(voters)), (0.25, 0.75))).infer("pat")
     assert pred.label is F
     assert pred.source.startswith("stage2:")
 
@@ -251,5 +260,5 @@ def test_unknown_name_decided_by_vote():
         }
     )
     model = model_with({"ann": (9, 1)})
-    pred = voting_two_stage_infer(model, VotingConfig(voters), (0.25, 0.75), "rex")
+    pred = TwoStageInferrer(TwoStageConfig(model, VotingInferrer(VotingConfig(voters)), (0.25, 0.75))).infer("rex")
     assert pred.label is M

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -95,9 +96,10 @@ def test_output_length_equals_input_length(rng):
 
 
 def test_batch_limit_chunks_internally():
-    mock = MockInferrer("m", {})
-    mock.batch_limit = 3
-    assert len(mock.infer_batch(["a"] * 10)) == 10
+    session = FakeSession(lambda url: FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90})))
+    adapter = HttpAdapter(adapter_config(batch_limit=3, max_in_flight=2), session=session)
+    assert len(adapter.infer_batch(["anna"] * 10)) == 10
+    assert len(session.calls) == 10
 
 
 def test_builtin_mle_matches_direct_classify(rng):
@@ -362,3 +364,38 @@ def test_adapter_concurrent_width_keeps_order_and_rate():
     times = sorted(t for t, _ in session.calls)
     for i, start in enumerate(times):
         assert sum(1 for t in times[i:] if t - start < 1.0) <= 300
+
+
+def test_adapter_does_not_cache_unmappable_response(tmp_path):
+    config = adapter_config(cache_dir=str(tmp_path))
+    broken = HttpAdapter(config, session=FakeSession(lambda url: FakeResponse(200, "<html>oops")))
+    assert broken.infer("anna").label is GenderLabel.UNKNOWN
+    assert not list(tmp_path.rglob("*.json"))
+    # a later run asks the service again instead of replaying the bad body
+    session = FakeSession(lambda url: FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90})))
+    assert HttpAdapter(config, session=session).infer("anna").label is GenderLabel.FEMALE
+    assert len(session.calls) == 1
+
+
+def test_adapter_caches_cleanly_mapped_unknown(tmp_path):
+    config = adapter_config(cache_dir=str(tmp_path))
+    body = json.dumps({"gender": "unknown", "accuracy": 0})
+    first = HttpAdapter(config, session=FakeSession(lambda url: FakeResponse(200, body)))
+    assert first.infer("zed").label is GenderLabel.UNKNOWN
+    session = FakeSession(lambda url: FakeResponse(500))
+    assert HttpAdapter(config, session=session).infer("zed").label is GenderLabel.UNKNOWN
+    assert session.calls == []
+
+
+def test_adapter_caches_long_names_under_a_hash(tmp_path):
+    long_name = "佐藤" * 15  # 30 characters, 270 bytes once percent-encoded
+    body = json.dumps({"gender": "male", "accuracy": 80})
+    config = adapter_config(cache_dir=str(tmp_path))
+    session = FakeSession(lambda url: FakeResponse(200, body))
+    preds = HttpAdapter(config, session=session).infer_batch(["anna", long_name])
+    assert [p.label for p in preds] == [GenderLabel.MALE, GenderLabel.MALE]
+    digest = hashlib.sha256(long_name.encode("utf-8")).hexdigest()
+    assert sorted(p.name for p in (tmp_path / "svc").iterdir()) == sorted(["anna.json", f"{digest}.json"])
+    replay = FakeSession(lambda url: FakeResponse(500))
+    assert HttpAdapter(config, session=replay).infer(long_name).label is GenderLabel.MALE
+    assert replay.calls == []
