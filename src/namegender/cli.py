@@ -213,9 +213,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             raise ValueError("--ssa-dir requires --years")
         years = _parse_years(args.years)
         table, report = corpus.ingest_ssa_years(args.ssa_dir, years, source_id=args.source_id)
-        inputs = sorted(
-            str(p) for p in Path(args.ssa_dir).glob("yob*.txt") if int(p.stem[3:]) in years
-        )
+        inputs = sorted(str(p) for p in (Path(args.ssa_dir) / f"yob{y}.txt" for y in years) if p.exists())
     table_path = out_dir / f"{table.source_id}.table.tsv"
     corpus.write_table(table, table_path)
     _write_ingest_report(report, out_dir / f"{table.source_id}.ingest-report.tsv")
@@ -340,11 +338,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _read_names(source: str) -> list[str]:
-    if source == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    return [line.strip() for line in lines if line.strip()]
+    text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
+    return [line.strip() for line in text.splitlines() if line.strip()]
 
 
 def cmd_infer(args: argparse.Namespace) -> int:

@@ -213,38 +213,51 @@ def _accumulate(
     """Sum per-name counts of (line number, message prefix, row) items.
 
     Every row is counted in report, and every dropped row is tallied there
-    by reason; the prefix starts the messages of malformed rows.
+    by reason; the prefix starts the messages of malformed rows. Each distinct
+    raw name is normalized, and each distinct gender tag looked up, once.
     """
-
-    def kept() -> Iterator[tuple[str, int, int]]:
-        for line_no, where, row in rows:
-            report.total_rows += 1
-            if isinstance(row, str):
-                report.malformed.append((line_no, where + row))
+    counts: dict[str, list[int]] = {}
+    # raw name -> its [female, male] slot in counts, or why it was rejected
+    slots: dict[str, list[int] | Rejection] = {}
+    # raw gender tag -> slot index (0 female, 1 male), or None if unmappable
+    sides: dict[str, int | None] = {}
+    total = retained = unmappable = 0
+    for line_no, where, row in rows:
+        total += 1
+        if isinstance(row, str):
+            report.malformed.append((line_no, where + row))
+            continue
+        raw_name, tag, raw_count = row
+        count = 1
+        if raw_count is not None:
+            try:
+                count = int(raw_count)
+            except ValueError:
+                report.malformed.append((line_no, f"{where}bad count {raw_count!r}"))
                 continue
-            raw_name, tag, raw_count = row
-            count = 1
-            if raw_count is not None:
-                try:
-                    count = int(raw_count)
-                except ValueError:
-                    report.malformed.append((line_no, f"{where}bad count {raw_count!r}"))
-                    continue
-                if count < 1:
-                    report.malformed.append((line_no, f"{where}count {count} < 1"))
-                    continue
+            if count < 1:
+                report.malformed.append((line_no, f"{where}count {count} < 1"))
+                continue
+        side = sides.get(tag, -1)
+        if side == -1:
             gender = aliases.get(tag.strip().lower())
-            if gender is None:
-                report.unmappable_gender += 1
-                continue
+            side = sides[tag] = None if gender is None else 0 if gender == "female" else 1
+        if side is None:
+            unmappable += 1
+            continue
+        slot = slots.get(raw_name)
+        if slot is None:
             name = normalize_name(raw_name, titles)
-            if isinstance(name, Rejection):
-                report.rejections[name] += 1
-                continue
-            report.retained += 1
-            yield (name, count, 0) if gender == "female" else (name, 0, count)
-
-    return _sum_counts(kept())
+            slot = slots[raw_name] = name if isinstance(name, Rejection) else counts.setdefault(name, [0, 0])
+        if isinstance(slot, Rejection):
+            report.rejections[slot] += 1
+            continue
+        retained += 1
+        slot[side] += count
+    report.total_rows += total
+    report.retained += retained
+    report.unmappable_gender += unmappable
+    return {name: GenderCounts(f, m) for name, (f, m) in counts.items()}
 
 
 def ingest_labeled_csv(
@@ -283,6 +296,8 @@ def ingest_labeled_csv(
 
         def rows() -> Iterator[tuple[int, str, _Row]]:
             for row in reader:
+                if not row:
+                    continue
                 if max(name_at, gender_at) >= len(row):
                     yield reader.line_num, "", "row has too few fields"
                     continue
@@ -327,11 +342,12 @@ def ingest_ssa_years(
                 report.missing_years.append(year)
                 logger.warning("missing SSA year file: %s", path)
                 continue
+            where = f"{path.name}: "
             with path.open(encoding="utf-8") as fh:
                 for line_no, line in enumerate(fh, start=1):
                     parts = line.strip().split(",")
                     if parts != [""]:
-                        yield line_no, f"{path.name}: ", tuple(parts) if len(parts) == 3 else "expected 3 fields"
+                        yield line_no, where, tuple(parts) if len(parts) == 3 else "expected 3 fields"
 
     entries = _accumulate(rows(), report, aliases, titles)
     if not entries:
@@ -361,8 +377,9 @@ def to_first_names(table: FrequencyTable) -> FrequencyTable:
     """
     if table.name_type is NameType.FIRST:
         return table
-    firsts = [(normalize_name(split_full_name(full)[0]), gc) for full, gc in table.entries.items()]
-    kept = [(name, gc.female, gc.male) for name, gc in firsts if not isinstance(name, Rejection)]
+    firsts = [(split_full_name(full)[0], gc) for full, gc in table.entries.items()]
+    cleaned = {first: normalize_name(first) for first in dict.fromkeys(first for first, _ in firsts)}
+    kept = [(cleaned[first], gc.female, gc.male) for first, gc in firsts if not isinstance(cleaned[first], Rejection)]
     if len(kept) < len(firsts):
         logger.info("to_first_names: dropped %d first tokens failing cleaning", len(firsts) - len(kept))
     return FrequencyTable(_sum_counts(kept), NameType.FIRST, table.source_id)

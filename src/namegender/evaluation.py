@@ -202,15 +202,17 @@ def metrics(counts: ConfusionCounts) -> MetricValues:
 
 
 def aggregate(per_dataset: Iterable[tuple[float | None, int]]) -> float | None:
-    """Size-weighted average over (value, size) pairs, skipping NA values."""
-    num = 0.0
+    """Exact size-weighted average over (value, size) pairs, skipping NA values."""
+    from fractions import Fraction
+
+    num = Fraction(0)
     den = 0
     for value, size in per_dataset:
         if value is None:
             continue
-        num += value * size
+        num += Fraction(value) * size
         den += size
-    return num / den if den else None
+    return float(num / den) if den else None
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 from urllib.parse import quote
 
-import requests
-
 from .mle import GenderLabel, MleModel, Prediction
 
 logger = logging.getLogger(__name__)
@@ -293,12 +291,15 @@ class HttpAdapter(Inferrer):
         self.config = config
         self._session = session
         self._limiter = RateLimiter(config.rate_limit)
+        self._lock = threading.Lock()  # guards _session creation and _ever_succeeded
         self._ever_succeeded = False
 
     def _get_session(self):
-        if self._session is None:
-            self._session = requests.Session()
-        return self._session
+        with self._lock:
+            if self._session is None:
+                import requests
+                self._session = requests.Session()
+            return self._session
 
     def _credential(self) -> str:
         env = self.config.credential_env
@@ -319,6 +320,8 @@ class HttpAdapter(Inferrer):
 
     def _fetch(self, name: str, credential: str) -> str | None:
         """Return raw response text, or None when all attempts failed."""
+        import requests
+
         url = self.config.endpoint.format(name=quote(name, safe=""), credential=credential)
         session = self._get_session()
         last_error: Exception | None = None
@@ -337,9 +340,12 @@ class HttpAdapter(Inferrer):
             if response.status_code != 200:
                 logger.warning("%s: %r -> HTTP %d", self.id, name, response.status_code)
                 return None
-            self._ever_succeeded = True
+            with self._lock:
+                self._ever_succeeded = True
             return response.text
-        if isinstance(last_error, (requests.ConnectionError,)) and not self._ever_succeeded:
+        with self._lock:
+            unreachable = isinstance(last_error, requests.ConnectionError) and not self._ever_succeeded
+        if unreachable:
             raise AdapterUnreachableError(f"{self.id}: endpoint unreachable: {last_error}")
         logger.warning("%s: %r failed after %d attempts: %s", self.id, name, self.config.max_attempts, last_error)
         return None

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +69,19 @@ def test_ingest_ssa_directory(tmp_path):
     assert run("ingest", "--ssa-dir", str(ssa), "--years", "1990-1991", "--out-dir", str(out)) == 0
     table = read_table(out / "ssa1990-1991.table.tsv")
     assert table.entries["mary"].female == 15
+
+
+def test_ingest_ssa_directory_ignores_stray_files(tmp_path):
+    ssa = tmp_path / "ssa"
+    ssa.mkdir()
+    for name in ("yob1991.txt", "yob1990.txt", "yob1989.txt"):
+        (ssa / name).write_text("Mary,F,1\n", encoding="utf-8")
+    (ssa / "yob_notes.txt").write_text("not a year file\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("ingest", "--ssa-dir", str(ssa), "--years", "1990-1992", "--out-dir", str(out)) == 0
+    assert read_table(out / "ssa1990-1992.table.tsv").entries["mary"].female == 2
+    manifest = json.loads((out / "ingest.manifest.json").read_text(encoding="utf-8"))
+    assert list(manifest["input_digests"]) == [str(ssa / "yob1990.txt"), str(ssa / "yob1991.txt")]
 
 
 def test_ingest_empty_corpus_exits_nonzero(tmp_path, capsys):
@@ -245,6 +261,36 @@ def test_eval_with_mock_matches_hand_fixture(tmp_path):
     lines = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
     # hand fixture: TF=1 TM=1 FM=1 undecided=1 -> acc 50, prec 100, rec 50, f1 66.67, gbe -33.33
     assert lines[1] == "m\tdemo\t4\t50.00\t100.00\t50.00\t66.67\t-33.33"
+
+
+def test_requests_is_imported_only_to_fetch(tmp_path):
+    """Importing the CLI and an eval answered from a warm HTTP cache never load requests."""
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female"), ("carl", "male")])
+    for name, gender in (("ana", "female"), ("carl", "male")):
+        cached = tmp_path / "cache" / "svc" / f"{name}.json"
+        cached.parent.mkdir(parents=True, exist_ok=True)
+        cached.write_text(json.dumps({"gender": gender, "probability": 0.9}), encoding="utf-8")
+    conf = tmp_path / "svc.conf"
+    conf.write_text(
+        "id = svc\nendpoint = http://127.0.0.1:9/?name={name}\n"
+        f"confidence_path = probability\ncache_dir = {tmp_path / 'cache'}\n",
+        encoding="utf-8",
+    )
+    argv = ["eval", "--test", str(testset), "--inferrer", f"http:{conf}", "--out-dir", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from namegender import cli\n"
+        "print('requests' in sys.modules)\n"
+        f"print(cli.main({argv!r}))\n"
+        "print('requests' in sys.modules)\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.split() == ["False", "0", "False"]
+    lines = (tmp_path / "out" / "report.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "svc\tdemo\t2\t100.00\t100.00\t100.00\t100.00\t0.00"
 
 
 def test_eval_na_flag_marks_cells(tmp_path):

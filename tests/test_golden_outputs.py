@@ -32,18 +32,17 @@ MESSY_CSV = (
 
 MESSY_CSV_REPORT = (
     "# ingest-report\tsource=messy\n"
-    "total_rows\t14\n"
+    "total_rows\t13\n"
     "retained\t3\n"
     "rejected.too_short\t1\n"
     "rejected.no_vowel\t1\n"
     "rejected.is_title\t1\n"
     "rejected.invalid_characters\t1\n"
     "unmappable_gender\t2\n"
-    "malformed\t5\n"
+    "malformed\t4\n"
     "malformed.line\t4\tbad count 'x'\n"
     "malformed.line\t5\tcount 0 < 1\n"
     "malformed.line\t6\trow has too few fields\n"
-    "malformed.line\t7\trow has too few fields\n"
     "malformed.line\t8\tbad count ''\n"
 )
 

@@ -102,6 +102,23 @@ def test_batch_limit_chunks_internally():
     assert len(session.calls) == 10
 
 
+def test_concurrent_batch_creates_one_session(monkeypatch):
+    constructed = []
+
+    class CountingSession(FakeSession):
+        def __init__(self) -> None:
+            constructed.append(self)
+            time.sleep(0.05)  # widen the window in which a second thread could also construct one
+            super().__init__(lambda url: FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90})))
+
+    monkeypatch.setattr(requests, "Session", CountingSession)
+    adapter = HttpAdapter(adapter_config(max_in_flight=2))
+    preds = adapter.infer_batch(["anna", "bert", "cleo", "dora"])
+    assert [p.label for p in preds] == [GenderLabel.FEMALE] * 4
+    assert len(constructed) == 1
+    assert len(constructed[0].calls) == 4
+
+
 def test_builtin_mle_matches_direct_classify(rng):
     for _ in range(20):
         model = train(random_table(rng, "t", 30), 0.9)

@@ -1,13 +1,30 @@
-"""Property tests: scoring, error analysis and report rendering agree."""
+"""Property tests: ingestion matches a per-row reference; scoring, error
+analysis and report rendering agree."""
 
 from __future__ import annotations
 
+import csv
+import tempfile
 from collections import Counter
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from namegender.analysis import assign_rate_types
+from namegender.corpus import (
+    DEFAULT_GENDER_ALIASES,
+    DEFAULT_TITLES,
+    CsvSchema,
+    EmptyCorpusError,
+    GenderCounts,
+    IngestReport,
+    Rejection,
+    ingest_labeled_csv,
+    ingest_ssa_years,
+    normalize_name,
+)
 from namegender.evaluation import (
     ConfusionCounts,
     LabeledTestSet,
@@ -15,9 +32,124 @@ from namegender.evaluation import (
     MetricValues,
     RateType,
     ReportRow,
+    aggregate,
     score,
 )
 from namegender.mle import GenderLabel, Prediction
+
+# Raw names repeat with case and space variants, and include titles, digits,
+# one-letter names and names without a vowel.
+KNOWN_NAMES = st.sampled_from([
+    "Anna", "anna", " ANNA ", "an na", "An  Na", "Mary Ann", "mary  ann", "Mr", "mr.", "Dr", "Jo", "JO",
+    "J", "x", "b2b", "Li", "xyz", "Zoë", "ZOË", "Rev.", "",
+])
+RAW_NAMES = st.one_of(KNOWN_NAMES, KNOWN_NAMES, st.text("aAbyY .2é", max_size=6))
+TAGS = st.sampled_from(["F", "M", "f", "m", " F ", "female", "MALE", "w", "Q", "", "x"])
+COUNTS = st.sampled_from(["1", "3", "12", "0", "-2", "x", "", " 4", "2.5"])
+ROWS = st.one_of(
+    st.tuples(RAW_NAMES, TAGS, COUNTS),
+    st.tuples(RAW_NAMES, TAGS, COUNTS),
+    st.tuples(RAW_NAMES, TAGS),
+    st.tuples(RAW_NAMES),
+    st.tuples(RAW_NAMES, TAGS, COUNTS, COUNTS),
+    st.just(()),
+)
+TITLES = st.one_of(st.none(), st.sets(st.sampled_from(["mr", "dr", "anna", "jo", "mary ann", "li"])))
+
+
+def _reference_ingest(rows, titles, source):
+    """Per-row accumulation that calls normalize_name for every row."""
+    report = IngestReport(source)
+    counts: dict[str, tuple[int, int]] = {}
+    for line_no, where, row in rows:
+        report.total_rows += 1
+        if isinstance(row, str):
+            report.malformed.append((line_no, where + row))
+            continue
+        raw_name, tag, raw_count = row
+        try:
+            count = 1 if raw_count is None else int(raw_count)
+        except ValueError:
+            report.malformed.append((line_no, f"{where}bad count {raw_count!r}"))
+            continue
+        if count < 1:
+            report.malformed.append((line_no, f"{where}count {count} < 1"))
+            continue
+        gender = DEFAULT_GENDER_ALIASES.get(tag.strip().lower())
+        if gender is None:
+            report.unmappable_gender += 1
+            continue
+        name = normalize_name(raw_name, DEFAULT_TITLES if titles is None else titles)
+        if isinstance(name, Rejection):
+            report.rejections[name] += 1
+            continue
+        report.retained += 1
+        female, male = counts.get(name, (0, 0))
+        counts[name] = (female + count, male) if gender == "female" else (female, male + count)
+    return {name: GenderCounts(*pair) for name, pair in counts.items()}, report
+
+
+def _check_ingest(ingest, titles, expected_counts, expected_report):
+    kwargs = {} if titles is None else {"titles": titles}
+    if not expected_counts:
+        with pytest.raises(EmptyCorpusError):
+            ingest(**kwargs)
+        return
+    table, report = ingest(**kwargs)
+    assert table.entries == expected_counts
+    assert report == expected_report
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(ROWS, max_size=30), min_size=1, max_size=3), TITLES)
+def test_ssa_ingest_matches_per_row_reference(files, titles):
+    years = range(2000, 2001 + len(files))  # 2001 has no file
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for year, lines in zip([2000, *years[2:]], files):
+            text = "".join(",".join(fields) + "\n" for fields in lines)
+            (Path(tmp) / f"yob{year}.txt").write_text(text, encoding="utf-8")
+            for line_no, line in enumerate(text.splitlines(), start=1):
+                parts = line.strip().split(",")
+                if parts != [""]:
+                    rows.append((line_no, f"yob{year}.txt: ", tuple(parts) if len(parts) == 3 else "expected 3 fields"))
+        counts, report = _reference_ingest(rows, titles, "ssa2000-" + str(years[-1]))
+        report.missing_years.append(2001)
+        _check_ingest(lambda **kw: ingest_ssa_years(tmp, years, **kw), titles, counts, report)
+
+
+@settings(deadline=None)
+@given(st.lists(ROWS, max_size=60), st.booleans(), TITLES)
+def test_csv_ingest_matches_per_row_reference(lines, with_count, titles):
+    rows = []
+    for line_no, fields in enumerate(lines, start=2):
+        if not fields:
+            continue  # a blank line is not a row
+        if len(fields) < 2:
+            rows.append((line_no, "", "row has too few fields"))
+        else:
+            raw_count = None if not with_count else fields[2] if len(fields) > 2 else ""
+            rows.append((line_no, "", (fields[0], fields[1], raw_count)))
+    counts, report = _reference_ingest(rows, titles, "t")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            fh.write("name,gender,count\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            for fields in lines:
+                if fields:
+                    writer.writerow(fields)
+                else:
+                    fh.write("\n")
+        schema = CsvSchema("name", "gender", "count" if with_count else None)
+        _check_ingest(lambda **kw: ingest_labeled_csv(path, schema, **kw), titles, counts, report)
+
+
+@given(st.lists(st.integers(1, 10_000), min_size=1, max_size=5), st.floats(-100.0, 100.0))
+def test_aggregate_of_one_value_is_that_value(sizes, value):
+    assert aggregate([(value, size) for size in sizes]) == value
+    assert aggregate([(None, 3)] + [(value, size) for size in sizes]) == value
+
 
 OBSERVED = st.sampled_from([GenderLabel.FEMALE, GenderLabel.MALE])
 IDS = st.text("abcxyz-:+", min_size=1, max_size=6)
