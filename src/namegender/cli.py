@@ -17,6 +17,7 @@ import logging
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -339,7 +340,37 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _read_names(source: str) -> list[str]:
     text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
-    return [line.strip() for line in text.splitlines() if line.strip()]
+    return [name for name in map(str.strip, text.splitlines()) if name]
+
+
+def _infer_lines(names: Sequence[str], predictions: Sequence[mle.Prediction], structured: bool) -> list[str]:
+    """infer's output lines; the text around each name is formatted once per Prediction object.
+
+    Repeated names and unknowns share one object (see MleInferrer), and the
+    predictions list keeps every object alive, so id() keys stay distinct.
+    A structured line equals json.dumps(record, sort_keys=True): json writes a
+    float (finite, as Prediction checks) as float.__repr__, and a mock's 1,
+    true or null as json.dumps does.
+    """
+    if structured:
+        def parts(p: mle.Prediction) -> tuple[str, str]:
+            pf = p.p_female
+            p_json = float.__repr__(pf) if isinstance(pf, float) else json.dumps(pf)
+            return (f'{{"label": "{p.label.value}", "name": ',
+                    f', "p_female": {p_json}, "source": {json.dumps(p.source)}}}')
+        lines, encode = [], encode_basestring_ascii
+    else:
+        def parts(p: mle.Prediction) -> tuple[str, str]:
+            p_cell = "NA" if p.p_female is None else f"{p.p_female:.6f}"
+            return "", f"\t{p.label.value}\t{p_cell}\t{p.source}"
+        lines, encode = ["name\tlabel\tp_female\tsource"], str
+    cache: dict[int, tuple[str, str]] = {}
+    for n, p in zip(names, predictions):
+        head_tail = cache.get(id(p))
+        if head_tail is None:
+            head_tail = cache[id(p)] = parts(p)
+        lines.append(head_tail[0] + encode(n) + head_tail[1])
+    return lines
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -352,21 +383,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     if not names:
         raise ValueError("no names to infer")
     predictions = inferrer.infer_batch(names)
-
-    if args.format == "structured":
-        out_lines = [
-            json.dumps(
-                {"name": n, "label": p.label.value, "p_female": p.p_female, "source": p.source},
-                sort_keys=True,
-            )
-            for n, p in zip(names, predictions)
-        ]
-    else:
-        out_lines = ["name\tlabel\tp_female\tsource"]
-        for n, p in zip(names, predictions):
-            p_cell = "NA" if p.p_female is None else f"{p.p_female:.6f}"
-            out_lines.append(f"{n}\t{p.label.value}\t{p_cell}\t{p.source}")
-    text = "\n".join(out_lines) + "\n"
+    text = "\n".join(_infer_lines(names, predictions, args.format == "structured")) + "\n"
     if args.out:
         out_path = Path(args.out)
         _out_dir(out_path.parent)

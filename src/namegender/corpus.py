@@ -296,7 +296,7 @@ def ingest_labeled_csv(
 
         def rows() -> Iterator[tuple[int, str, _Row]]:
             for row in reader:
-                if not row:
+                if not row or (len(row) == 1 and not row[0].strip()):  # blank or whitespace-only line
                     continue
                 if max(name_at, gender_at) >= len(row):
                     yield reader.line_num, "", "row has too few fields"

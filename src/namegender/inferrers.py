@@ -109,13 +109,14 @@ class MleInferrer(Inferrer):
         self.model = model
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
-        out = []
-        for name in names:
-            pred = self.model.classify(name)
-            if pred.source != self.id:
-                pred = Prediction(pred.label, pred.p_female, self.id)
-            out.append(pred)
-        return out
+        # one Prediction per distinct name per call; every absent name shares one unknown
+        answers = dict.fromkeys(names, Prediction(GenderLabel.UNKNOWN, None, self.id))
+        entries = self.model.table.entries
+        for name in answers:
+            if name in entries:
+                pred = self.model.classify(name)
+                answers[name] = pred if pred.source == self.id else Prediction(pred.label, pred.p_female, self.id)
+        return [answers[name] for name in names]
 
 
 class RateLimiter:
@@ -376,8 +377,7 @@ class HttpAdapter(Inferrer):
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             logger.warning("%s: unusable response for %r: %s", self.id, name, exc)
             return Prediction(GenderLabel.UNKNOWN, None, self.id)
-        if cache is not None and not cached:
-            cache.parent.mkdir(parents=True, exist_ok=True)
+        if cache is not None and not cached:  # _infer_chunk made cache.parent
             with tempfile.NamedTemporaryFile("w", dir=cache.parent, encoding="utf-8", delete=False) as tmp:
                 tmp.write(text)
             os.replace(tmp.name, cache)
@@ -385,6 +385,8 @@ class HttpAdapter(Inferrer):
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
         credential = self._credential()
+        if self.config.cache_dir is not None:
+            Path(self.config.cache_dir, self.id).mkdir(parents=True, exist_ok=True)
         if self.config.max_in_flight == 1:
             return [self._infer_one(name, credential) for name in names]
         from concurrent.futures import ThreadPoolExecutor

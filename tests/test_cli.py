@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from namegender import cli
-from namegender.corpus import pairwise_overlap, read_table
+from namegender.corpus import FrequencyTable, GenderCounts, NameType, pairwise_overlap, read_table
+from namegender.mle import load_model, save_model, train
 
 DATA = Path(__file__).parent / "data"
 
@@ -232,6 +238,68 @@ def test_infer_structured_output(tmp_path, capsys):
                "--format", "structured") == 0
     record = json.loads(capsys.readouterr().out.splitlines()[0])
     assert record == {"label": "female", "name": "mary", "p_female": 0.95, "source": "mle:t"}
+
+
+# Table and mock names hold quotes, backslashes, non-ASCII and astral
+# characters; queried names add tabs, case and space variants.
+TABLE_NAMES = st.text('aAbé"\\ あ\U0001d518', min_size=1, max_size=4).map(str.strip).filter(bool)
+QUERY_NAMES = st.text('aAbé"\\\t あ\U0001d518', min_size=1, max_size=4).map(str.strip).filter(bool)
+VARIANTS = st.sampled_from([str, str.upper, str.lower, lambda s: f" {s}\t", lambda s: s.replace(" ", "  ")])
+MOCK_ENTRIES = st.sampled_from([
+    {"label": "female", "p_female": 1}, {"label": "female", "p_female": True}, {"label": "female", "p_female": 0.875},
+    {"label": "ambiguous", "p_female": 0.5}, {"label": "male", "p_female": 0}, {"label": "male", "p_female": -0.0},
+    {"label": "male", "p_female": False}, {"label": "unknown"},
+])
+
+
+def _reference_infer_output(names, records, structured):
+    """infer's output as formatted line by line, with json.dumps per record."""
+    if structured:
+        return "".join(json.dumps({"name": n, **r}, sort_keys=True) + "\n" for n, r in zip(names, records))
+    lines = ["name\tlabel\tp_female\tsource"]
+    for n, r in zip(names, records):
+        p_cell = "NA" if r["p_female"] is None else f"{r['p_female']:.6f}"
+        lines.append(f"{n}\t{r['label']}\t{p_cell}\t{r['source']}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.dictionaries(TABLE_NAMES, st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any), min_size=1, max_size=6),
+    st.dictionaries(TABLE_NAMES, MOCK_ENTRIES, min_size=1, max_size=6),
+    st.data(),
+)
+def test_infer_output_matches_reference_formatting(counts, mock, data):
+    base = st.one_of(st.sampled_from(sorted(counts.keys() | mock.keys())), QUERY_NAMES)
+    queries = data.draw(st.lists(st.builds(lambda name, variant: variant(name), base, VARIANTS), min_size=1, max_size=30))
+    text = "".join(q + "\n" for q in queries)
+    names = [line.strip() for line in text.splitlines() if line.strip()]
+    with tempfile.TemporaryDirectory() as tmp:
+        model_path, mock_path, names_path = Path(tmp, "t.model.tsv"), Path(tmp, "mock.json"), Path(tmp, "names.txt")
+        entries = {name: GenderCounts(*fm) for name, fm in counts.items()}
+        save_model(train(FrequencyTable(entries, NameType.FIRST, "t"), 0.75), model_path)
+        model = load_model(model_path)
+        mock_path.write_text(json.dumps(mock), encoding="utf-8")
+        names_path.write_text(text, encoding="utf-8")
+
+        def mle_records(source):
+            return [{"label": p.label.value, "p_female": p.p_female, "source": source}
+                    for p in map(model.classify, names)]
+
+        def mock_records(source):
+            unknown = {"label": "unknown"}
+            return [{"label": e["label"], "p_female": e.get("p_female"), "source": source}
+                    for e in (mock.get(n, unknown) for n in names)]
+
+        # one process runs every spec, so a cache that outlived a call would show
+        cases = [(f"mle:{model_path}", mle_records("mle:t")), (f"alt=mle:{model_path}", mle_records("alt")),
+                 (f"mock:{mock_path}", mock_records("mock")), (f"m2=mock:{mock_path}", mock_records("m2"))]
+        for spec, records in cases:
+            for fmt in ("tsv", "structured"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert run("infer", str(names_path), "--inferrer", spec, "--format", fmt) == 0
+                assert out.getvalue() == _reference_infer_output(names, records, fmt == "structured"), (spec, fmt)
 
 
 # --- eval / analyze -------------------------------------------------------------------

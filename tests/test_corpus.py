@@ -132,6 +132,15 @@ def test_csv_with_utf8_bom_loads(tmp_path):
     assert report.total_rows == 2
 
 
+def test_csv_whitespace_only_line_is_skipped_like_a_blank_one(tmp_path):
+    path = tmp_path / "names.csv"
+    path.write_text("name,gender\nmary,F\n   \n", encoding="utf-8")
+    table, report = ingest_labeled_csv(path, CsvSchema("name", "gender"))
+    assert table.entries == {"mary": GenderCounts(1, 0)}
+    assert report.total_rows == 1
+    assert report.malformed == []
+
+
 def test_csv_counts_accumulate(tmp_path):
     path = tmp_path / "names.csv"
     write_csv(path, ["anna,F,2", "anna,M,1"])

@@ -416,3 +416,18 @@ def test_adapter_caches_long_names_under_a_hash(tmp_path):
     replay = FakeSession(lambda url: FakeResponse(500))
     assert HttpAdapter(config, session=replay).infer(long_name).label is GenderLabel.MALE
     assert replay.calls == []
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2])
+def test_adapter_fills_a_cache_dir_that_does_not_exist_yet(tmp_path, max_in_flight):
+    cache_dir = tmp_path / "not" / "yet"
+    bodies = {"anna": {"gender": "female", "accuracy": 90}, "bo": {"gender": "male", "accuracy": 80}}
+
+    def handler(url):
+        return FakeResponse(200, json.dumps(bodies[url.rsplit("=", 1)[1]]))
+
+    config = adapter_config(cache_dir=str(cache_dir), max_in_flight=max_in_flight)
+    preds = HttpAdapter(config, session=FakeSession(handler)).infer_batch(["anna", "bo"])
+    assert [p.label for p in preds] == [GenderLabel.FEMALE, GenderLabel.MALE]
+    cached = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in (cache_dir / "svc").iterdir()}
+    assert cached == {"anna.json": bodies["anna"], "bo.json": bodies["bo"]}

@@ -1,5 +1,5 @@
-"""Property tests: ingestion matches a per-row reference; scoring, error
-analysis and report rendering agree."""
+"""Property tests: ingestion and batch inference match per-row and per-name
+references; scoring, error analysis and report rendering agree."""
 
 from __future__ import annotations
 
@@ -18,8 +18,10 @@ from namegender.corpus import (
     DEFAULT_TITLES,
     CsvSchema,
     EmptyCorpusError,
+    FrequencyTable,
     GenderCounts,
     IngestReport,
+    NameType,
     Rejection,
     ingest_labeled_csv,
     ingest_ssa_years,
@@ -35,7 +37,8 @@ from namegender.evaluation import (
     aggregate,
     score,
 )
-from namegender.mle import GenderLabel, Prediction
+from namegender.inferrers import MleInferrer
+from namegender.mle import GenderLabel, Prediction, train
 
 # Raw names repeat with case and space variants, and include titles, digits,
 # one-letter names and names without a vowel.
@@ -123,8 +126,8 @@ def test_ssa_ingest_matches_per_row_reference(files, titles):
 def test_csv_ingest_matches_per_row_reference(lines, with_count, titles):
     rows = []
     for line_no, fields in enumerate(lines, start=2):
-        if not fields:
-            continue  # a blank line is not a row
+        if not fields or (len(fields) == 1 and not fields[0].strip()):
+            continue  # a blank line, or one whose only field is blank, is not a row
         if len(fields) < 2:
             rows.append((line_no, "", "row has too few fields"))
         else:
@@ -218,3 +221,34 @@ def test_renderings_carry_the_same_cells(rows, notes):
     assert [r[0] for r in records if r[1] == "ALL"] == report.inferrer_ids()
     skipped = [r["dataset"] for r in report.to_records() if r["skipped"]]
     assert sorted(skipped) == sorted(row.dataset_id for row in rows if row.skipped)
+
+
+# Model names with quotes, backslashes, non-ASCII and astral characters; the
+# queries add their case and space variants, tabs and names the model lacks.
+MODEL_NAMES = st.text('aAbé"\\ あ\U0001d518', min_size=1, max_size=4)
+COUNT_PAIRS = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda fm: sum(fm) > 0)
+VARIANTS = st.sampled_from([str, str.upper, str.lower, lambda s: f" {s}\t", lambda s: s.replace(" ", "  ")])
+
+
+@st.composite
+def models_and_queries(draw) -> tuple[dict[str, GenderCounts], float, list[str]]:
+    entries = draw(st.dictionaries(MODEL_NAMES, COUNT_PAIRS.map(lambda fm: GenderCounts(*fm)), min_size=1, max_size=8))
+    tau = draw(st.sampled_from([0.5, 0.6, 0.75, 0.9, 1.0]))
+    base = st.one_of(st.sampled_from(sorted(entries)), st.text('aAbé"\\\t あ\U0001d518', max_size=4))
+    queries = draw(st.lists(st.builds(lambda name, variant: variant(name), base, VARIANTS), min_size=1, max_size=40))
+    return entries, tau, queries
+
+
+@settings(deadline=None)
+@given(models_and_queries())
+def test_mle_batch_matches_per_name_classify(case):
+    entries, tau, queries = case
+    model = train(FrequencyTable(entries, NameType.FIRST, "t"), tau)
+    for id in (None, "other", model.model_id, None):  # repeated calls must not see earlier ones
+        inferrer = MleInferrer(model, id=id)
+        source = model.model_id if id is None else id
+        expected = []
+        for name in queries:
+            pred = model.classify(name)
+            expected.append(Prediction(pred.label, pred.p_female, source))
+        assert inferrer.infer_batch(queries) == expected
