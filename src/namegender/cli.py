@@ -340,7 +340,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _read_names(source: str) -> list[str]:
     text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
-    return [name for name in map(str.strip, text.splitlines()) if name]
+    # Lines end at "\n", "\r\n" or "\r" (stdin does not translate them to "\n"
+    # as a file read does; "\r\n" leaves a blank line, which is dropped).
+    # splitlines would also break names at \x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029.
+    lines = text.replace("\r", "\n").split("\n")
+    return [name for name in map(str.strip, lines) if name]
 
 
 def _infer_lines(names: Sequence[str], predictions: Sequence[mle.Prediction], structured: bool) -> list[str]:

@@ -93,7 +93,9 @@ class FrequencyTable:
     """Normalized name -> GenderCounts, plus corpus metadata.
 
     A completed table is treated as immutable and is safe for unrestricted
-    concurrent reads.
+    concurrent reads. Names with equal counts may share one GenderCounts
+    object (read_table_with_header shares them); GenderCounts is frozen, and
+    nothing depends on which object a name holds.
     """
 
     entries: dict[str, GenderCounts]
@@ -538,24 +540,35 @@ def read_table_with_header(path: str | Path) -> tuple[FrequencyTable, dict[str, 
             source_id = fields.pop("source_id")
         except (KeyError, ValueError) as exc:
             raise TableParseError(path, 1, f"bad or missing header field: {exc}") from None
+        # "female<TAB>male" text -> its GenderCounts: each distinct text is parsed,
+        # checked and built once, so names with the same text share one object
+        parsed: dict[str, GenderCounts] = {}
         for line_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise TableParseError(path, line_no, "expected name<TAB>female<TAB>male")
-            name, raw_f, raw_m = parts
-            try:
-                female, male = int(raw_f), int(raw_m)
-            except ValueError:
-                raise TableParseError(path, line_no, "counts must be integers") from None
-            if female < 0 or male < 0 or female + male < 1:
-                raise TableParseError(path, line_no, f"bad counts ({female}, {male})")
+            name, _, rest = line.partition("\t")
+            counts = parsed.get(rest)
+            if counts is None:
+                counts = parsed[rest] = _parse_counts(path, line_no, rest)
             if name in entries:
                 raise TableParseError(path, line_no, f"duplicate name {name!r}")
-            entries[name] = GenderCounts(female, male)
+            entries[name] = counts
     return FrequencyTable(entries, name_type, source_id), fields
+
+
+def _parse_counts(path: Path, line_no: int, rest: str) -> GenderCounts:
+    """The counts of a table line whose text after the name is rest."""
+    fields = rest.split("\t")
+    if len(fields) != 2:
+        raise TableParseError(path, line_no, "expected name<TAB>female<TAB>male")
+    try:
+        female, male = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise TableParseError(path, line_no, "counts must be integers") from None
+    if female < 0 or male < 0 or female + male < 1:
+        raise TableParseError(path, line_no, f"bad counts ({female}, {male})")
+    return GenderCounts(female, male)
 
 
 def read_table(path: str | Path) -> FrequencyTable:

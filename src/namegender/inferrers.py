@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 from urllib.parse import quote
 
+from .corpus import GenderCounts
 from .mle import GenderLabel, MleModel, Prediction
 
 logger = logging.getLogger(__name__)
@@ -109,13 +110,22 @@ class MleInferrer(Inferrer):
         self.model = model
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
-        # one Prediction per distinct name per call; every absent name shares one unknown
+        # A known name's answer depends only on its counts and tau, so each call
+        # classifies once per distinct GenderCounts value (not object: in-process
+        # tables share none) and every absent name shares one unknown.
         answers = dict.fromkeys(names, Prediction(GenderLabel.UNKNOWN, None, self.id))
         entries = self.model.table.entries
+        by_counts: dict[GenderCounts, Prediction] = {}
         for name in answers:
-            if name in entries:
-                pred = self.model.classify(name)
-                answers[name] = pred if pred.source == self.id else Prediction(pred.label, pred.p_female, self.id)
+            counts = entries.get(name)
+            if counts is not None:
+                pred = by_counts.get(counts)
+                if pred is None:
+                    pred = self.model.classify(name)
+                    if pred.source != self.id:
+                        pred = Prediction(pred.label, pred.p_female, self.id)
+                    by_counts[counts] = pred
+                answers[name] = pred
         return [answers[name] for name in names]
 
 
@@ -387,14 +397,18 @@ class HttpAdapter(Inferrer):
         credential = self._credential()
         if self.config.cache_dir is not None:
             Path(self.config.cache_dir, self.id).mkdir(parents=True, exist_ok=True)
+        # each distinct name is fetched or read from the cache once per batch
+        distinct = list(dict.fromkeys(names))
         if self.config.max_in_flight == 1:
-            return [self._infer_one(name, credential) for name in names]
-        from concurrent.futures import ThreadPoolExecutor
+            answers = [self._infer_one(name, credential) for name in distinct]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
 
-        # the pool is handed at most batch_limit names at a time
-        limit = self.config.batch_limit
-        out: list[Prediction] = []
-        with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-            for start in range(0, len(names), limit):
-                out.extend(pool.map(lambda n: self._infer_one(n, credential), names[start : start + limit]))
-        return out
+            # the pool is handed at most batch_limit names at a time
+            limit = self.config.batch_limit
+            answers = []
+            with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
+                for start in range(0, len(distinct), limit):
+                    answers.extend(pool.map(lambda n: self._infer_one(n, credential), distinct[start : start + limit]))
+        by_name = dict(zip(distinct, answers))
+        return [by_name[name] for name in names]

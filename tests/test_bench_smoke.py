@@ -1,4 +1,4 @@
-"""Tiny traced benchmark passes over the fullname-eval and infer-bulk workloads.
+"""Tiny traced benchmark passes over the fullname-eval, infer-bulk and cli-short workloads.
 
 The traced pass wraps MetricsReport.to_*, MockInferrer.from_json and every
 infer_batch by name, and checks the eval, analyze and both infer output
@@ -31,6 +31,17 @@ def test_traced_fullname_eval_pass_is_correct():
 def test_traced_infer_bulk_pass_is_correct():
     out = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "infer-bulk",
+         "--seed", "3", "--seconds", "0.1", "--trace", "1", "--size", "tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, out.stdout[-2000:]
+
+
+def test_traced_cli_short_pass_is_correct():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "cli-short",
          "--seed", "3", "--seconds", "0.1", "--trace", "1", "--size", "tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

@@ -226,6 +226,27 @@ def test_infer_stdin_matches_file_input(tmp_path, capsys, monkeypatch):
     assert from_stdin == from_file
 
 
+def test_infer_writes_one_line_per_non_blank_input_line(tmp_path, capsys, monkeypatch):
+    # \x85, \x0c and the other characters str.splitlines breaks at stay inside a name
+    table = tmp_path / "t.table.tsv"
+    table.write_text("# name_type=first\tsource_id=t\nann\x85a\t3\t0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("train", str(table), "--out-dir", str(out)) == 0
+    model = str(out / "t.model.tsv")
+    text = "ann\x85a\nbob\x0cby\n\ncy\x1ed\u2028i\x0b\n  \nann\x85a\r\nzed\u2029\rkim\n"
+    names = tmp_path / "names.txt"
+    names.write_text(text, encoding="utf-8", newline="")
+    capsys.readouterr()
+    assert run("infer", str(names), "--model", model) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text, newline=""))
+    assert run("infer", "-", "--model", model) == 0
+    assert capsys.readouterr().out == from_file
+    rows = [line.split("\t")[:2] for line in from_file.split("\n")[1:-1]]
+    assert rows == [["ann\x85a", "female"], ["bob\x0cby", "unknown"], ["cy\x1ed\u2028i", "unknown"],
+                    ["ann\x85a", "female"], ["zed", "unknown"], ["kim", "unknown"]]  # strip trims \u2029
+
+
 def test_infer_structured_output(tmp_path, capsys):
     table = tmp_path / "t.table.tsv"
     table.write_text("# name_type=first\tsource_id=t\nmary\t95\t5\n", encoding="utf-8")

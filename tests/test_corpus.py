@@ -502,3 +502,62 @@ def test_table_missing_header_raises(tmp_path):
     path.write_text("anna\t2\t1\n", encoding="utf-8")
     with pytest.raises(TableParseError):
         read_table(path)
+
+
+HEADER = "# name_type=first\tsource_id=x\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "line_no", "message"),
+    [
+        ("", 1, "missing header line"),
+        ("anna\t2\t1\n", 1, "missing header line"),
+        ("# name_type=first\tsource_id\n", 1, "bad header field 'source_id'"),
+        ("# source_id=x\n", 1, "bad or missing header field: 'name_type'"),
+        ("# name_type=middle\tsource_id=x\n", 1, "bad or missing header field: 'middle' is not a valid NameType"),
+        ("# name_type=first\n", 1, "bad or missing header field: 'source_id'"),
+        (HEADER + "anna\n", 2, "expected name<TAB>female<TAB>male"),
+        (HEADER + "anna\t2\n", 2, "expected name<TAB>female<TAB>male"),
+        (HEADER + "bob\t1\t1\nanna\t2\t1\t0\n", 3, "expected name<TAB>female<TAB>male"),
+        (HEADER + "anna\t2\tx\n", 2, "counts must be integers"),
+        (HEADER + "anna\t2.0\t1\n", 2, "counts must be integers"),
+        (HEADER + "anna\t-1\t3\n", 2, "bad counts (-1, 3)"),
+        (HEADER + "anna\t0\t0\n", 2, "bad counts (0, 0)"),
+        (HEADER + "anna\t2\t1\nbob\t3\t3\nanna\t2\t1\n", 4, "duplicate name 'anna'"),
+        (HEADER + "anna\t2\t1\nbob\t2\t1\nanna\t2\t1\n", 4, "duplicate name 'anna'"),
+    ],
+)
+def test_table_parse_error_message_and_line(tmp_path, text, line_no, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(TableParseError) as err:
+        read_table_with_header(path)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"{path}:{line_no}: {message}"
+
+
+def test_table_bad_count_text_raises_where_it_first_appears(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text(HEADER + "anna\t2\t1\nbob\t2\tx\ncleo\t2\t1\ndora\t2\tx\n", encoding="utf-8")
+    with pytest.raises(TableParseError) as err:
+        read_table(path)
+    assert err.value.line_no == 3
+    assert str(err.value) == f"{path}:3: counts must be integers"
+
+
+def test_table_blank_lines_are_skipped_but_counted(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text(HEADER + "\nanna\t2\t1\n\n\nbob\t0\t4\n\n", encoding="utf-8")
+    assert read_table(path).entries == {"anna": GenderCounts(2, 1), "bob": GenderCounts(0, 4)}
+    path.write_text(HEADER + "\nanna\t2\t1\n\nanna\t1\t1\n", encoding="utf-8")
+    with pytest.raises(TableParseError) as err:
+        read_table(path)
+    assert err.value.line_no == 5
+
+
+def test_table_with_crlf_line_ends_loads(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"# name_type=full\tsource_id=x\ttau=0.9\r\nanna lee\t2\t1\r\nbob ray\t2\t1\r\n")
+    table, extras = read_table_with_header(path)
+    assert table.entries == {"anna lee": GenderCounts(2, 1), "bob ray": GenderCounts(2, 1)}
+    assert (table.name_type, table.source_id, extras) == (NameType.FULL, "x", {"tau": "0.9"})

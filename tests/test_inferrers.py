@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 import requests
@@ -23,7 +24,7 @@ from namegender.inferrers import (
     parse_adapter_config,
     parse_kv_file,
 )
-from namegender.mle import GenderLabel, train
+from namegender.mle import GenderLabel, Prediction, train
 
 from conftest import random_table
 
@@ -98,8 +99,41 @@ def test_output_length_equals_input_length(rng):
 def test_batch_limit_chunks_internally():
     session = FakeSession(lambda url: FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90})))
     adapter = HttpAdapter(adapter_config(batch_limit=3, max_in_flight=2), session=session)
-    assert len(adapter.infer_batch(["anna"] * 10)) == 10
+    assert len(adapter.infer_batch([f"n{i}" for i in range(10)])) == 10
     assert len(session.calls) == 10
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2])
+def test_adapter_asks_once_per_distinct_name_in_a_batch(max_in_flight):
+    def handler(url):
+        if url.endswith("=bad"):
+            return FakeResponse(500)
+        return FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90}))
+
+    session = FakeSession(handler)
+    adapter = HttpAdapter(adapter_config(max_in_flight=max_in_flight, batch_limit=2), session=session)
+    assert adapter.infer_batch(["anna", "anna", "anna"]) == [Prediction(GenderLabel.FEMALE, 0.9, "svc")] * 3
+    assert len(session.calls) == 1
+    # a name that fails degrades to unknown at every position; a bad one is tried max_attempts times
+    session.calls.clear()
+    preds = adapter.infer_batch(["bad", "anna", "bad", "bo", "anna", "bad"])
+    assert [p.label for p in preds] == [GenderLabel.UNKNOWN, GenderLabel.FEMALE, GenderLabel.UNKNOWN,
+                                        GenderLabel.FEMALE, GenderLabel.FEMALE, GenderLabel.UNKNOWN]
+    assert sorted(url.rsplit("=", 1)[1] for _, url in session.calls) == ["anna", "bad", "bad", "bo"]
+
+
+def test_adapter_reads_a_cached_name_once_per_batch(tmp_path, monkeypatch):
+    config = adapter_config(cache_dir=str(tmp_path))
+    body = json.dumps({"gender": "male", "accuracy": 80})
+    first = HttpAdapter(config, session=FakeSession(lambda url: FakeResponse(200, body)))
+    assert first.infer("bo").label is GenderLabel.MALE
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **kw: reads.append(self.name) or read_text(self, *a, **kw))
+    replay = FakeSession(lambda url: FakeResponse(500))
+    preds = HttpAdapter(config, session=replay).infer_batch(["bo", "bo", "bo"])
+    assert [p.label for p in preds] == [GenderLabel.MALE] * 3
+    assert reads == ["bo.json"] and replay.calls == []
 
 
 def test_concurrent_batch_creates_one_session(monkeypatch):

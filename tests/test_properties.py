@@ -23,9 +23,11 @@ from namegender.corpus import (
     IngestReport,
     NameType,
     Rejection,
+    TableParseError,
     ingest_labeled_csv,
     ingest_ssa_years,
     normalize_name,
+    read_table_with_header,
 )
 from namegender.evaluation import (
     ConfusionCounts,
@@ -38,7 +40,7 @@ from namegender.evaluation import (
     score,
 )
 from namegender.inferrers import MleInferrer
-from namegender.mle import GenderLabel, Prediction, train
+from namegender.mle import GenderLabel, MleModel, Prediction, train
 
 # Raw names repeat with case and space variants, and include titles, digits,
 # one-letter names and names without a vowel.
@@ -252,3 +254,130 @@ def test_mle_batch_matches_per_name_classify(case):
             pred = model.classify(name)
             expected.append(Prediction(pred.label, pred.p_female, source))
         assert inferrer.infer_batch(queries) == expected
+
+
+def _reference_read_table(path):
+    """The table reader's earlier per-line loop: split, int() and build each row."""
+    entries: dict[str, GenderCounts] = {}
+    with path.open(encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.startswith("# "):
+            raise TableParseError(path, 1, "missing header line")
+        fields: dict[str, str] = {}
+        for item in first[2:].rstrip("\n").split("\t"):
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise TableParseError(path, 1, f"bad header field {item!r}")
+            fields[key] = value
+        try:
+            name_type = NameType(fields.pop("name_type"))
+            source_id = fields.pop("source_id")
+        except (KeyError, ValueError) as exc:
+            raise TableParseError(path, 1, f"bad or missing header field: {exc}") from None
+        for line_no, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise TableParseError(path, line_no, "expected name<TAB>female<TAB>male")
+            name, raw_f, raw_m = parts
+            try:
+                female, male = int(raw_f), int(raw_m)
+            except ValueError:
+                raise TableParseError(path, line_no, "counts must be integers") from None
+            if female < 0 or male < 0 or female + male < 1:
+                raise TableParseError(path, line_no, f"bad counts ({female}, {male})")
+            if name in entries:
+                raise TableParseError(path, line_no, f"duplicate name {name!r}")
+            entries[name] = GenderCounts(female, male)
+    return FrequencyTable(entries, name_type, source_id), fields
+
+
+def _outcome(read, path):
+    try:
+        table, fields = read(path)
+    except TableParseError as exc:
+        return exc.line_no, str(exc)
+    return table.entries, table.name_type, table.source_id, fields
+
+
+# Count texts that int() accepts in non-canonical form: signs, padding,
+# leading zeros, digit separators and non-ASCII digits.
+COUNT_FORMS = st.sampled_from([
+    str, lambda n: f"+{n}", lambda n: f" {n}", lambda n: f"{n} ", lambda n: f"0{n}",
+    lambda n: "_".join(str(n)), lambda n: str(n).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+])
+COUNT_TEXTS = st.builds(lambda n, form: form(n), st.integers(0, 12), COUNT_FORMS)
+TABLE_ROW_NAMES = st.text("ab é\x85\u2028あ", min_size=1, max_size=4)
+BAD_COUNTS = st.sampled_from(["2", "1\t1\t1", "x\t1", "-1\t2", "0\t0", "1.0\t1", "", "1\t"])
+
+
+@st.composite
+def table_texts(draw) -> tuple[str, str]:
+    """A table file's text: few distinct count pairs over many rows, and
+    sometimes one bad line, which may reuse a good row's text or repeat later."""
+    pairs = draw(st.lists(st.tuples(COUNT_TEXTS, COUNT_TEXTS).filter(lambda fm: int(fm[0]) + int(fm[1]) > 0),
+                          min_size=1, max_size=4))
+    names = draw(st.lists(TABLE_ROW_NAMES, min_size=1, max_size=30, unique=True))
+    rows = draw(st.lists(st.sampled_from(pairs), min_size=len(names), max_size=len(names)))
+    lines = [f"{name}\t{f}\t{m}" for name, (f, m) in zip(names, rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    bad = draw(st.one_of(st.none(), BAD_COUNTS.map(lambda rest: f"zz\t{rest}"),
+                         st.sampled_from([line for line in lines if line])))  # a duplicate name and count text
+    if bad is not None:
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, bad)
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(at + 1, len(lines))), "yy" + bad[bad.index("\t"):])
+    header = draw(st.sampled_from(["# name_type=first\tsource_id=s", "# name_type=full\tsource_id=s\ttau=0.9"]))
+    return "\n".join([header, *lines]) + "\n", draw(st.sampled_from(["\n", "\r\n"]))
+
+
+@settings(deadline=None)
+@given(table_texts())
+def test_table_reader_matches_per_line_reference(case):
+    text, newline = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        assert _outcome(read_table_with_header, path) == _outcome(_reference_read_table, path)
+
+
+# Pairs whose p(female) is exactly 0.5 or lands on tau or 1 - tau for some tau below.
+TIE_PAIRS = st.sampled_from([(1, 1), (2, 2), (3, 1), (1, 3), (4, 1), (1, 4), (9, 1), (1, 9), (5, 0), (0, 5), (3, 2)])
+
+
+@st.composite
+def shared_count_models(draw) -> tuple[dict[str, GenderCounts], float, list[str]]:
+    names = draw(st.lists(st.text("abé", min_size=1, max_size=4), min_size=1, max_size=12, unique=True))
+    pairs = draw(st.lists(TIE_PAIRS, min_size=len(names), max_size=len(names)))
+    shared = draw(st.booleans())  # as a file read shares them, or one object per name as train() gets them
+    pool = {pair: GenderCounts(*pair) for pair in pairs}
+    entries = {name: pool[pair] if shared else GenderCounts(*pair) for name, pair in zip(names, pairs)}
+    tau = draw(st.sampled_from([0.5, 0.6, 0.75, 0.8, 0.9, 1.0]))
+    queries = draw(st.lists(st.one_of(st.sampled_from(names), st.text("abéz", max_size=3)), min_size=1, max_size=40))
+    return entries, tau, queries
+
+
+@settings(deadline=None)
+@given(shared_count_models())
+def test_mle_batch_classifies_once_per_count_pair(case):
+    entries, tau, queries = case
+    model = train(FrequencyTable(entries, NameType.FIRST, "t"), tau)
+    expected = [model.classify(name) for name in queries]
+    classify, calls = MleModel.classify, []
+
+    def counting(self, name):
+        calls.append(name)
+        return classify(self, name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MleModel, "classify", counting)
+        for id in (None, "other", None):
+            calls.clear()
+            source = model.model_id if id is None else id
+            got = MleInferrer(model, id=id).infer_batch(queries)
+            assert got == [Prediction(p.label, p.p_female, source) for p in expected]
+            assert len(calls) == len({entries[name] for name in queries if name in entries})
