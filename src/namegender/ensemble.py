@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .inferrers import Inferrer
-from .mle import GenderLabel, MleModel, Prediction, mle_female
+from .inferrers import Inferrer, MleInferrer
+from .mle import GenderLabel, MleModel, Prediction
 
 DEFAULT_DEFER_BAND = (0.25, 0.75)
 
@@ -99,17 +99,10 @@ class TwoStageInferrer(Inferrer):
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
         model = self.config.primary
         lo, hi = self.config.defer_band
-        out: list[Prediction | None] = [None] * len(names)
-        deferred: list[tuple[int, str]] = []
-        for i, name in enumerate(names):
-            counts = model.table.entries.get(name)
-            if counts is None or lo <= mle_female(counts) <= hi:
-                deferred.append((i, name))
-                continue
-            pred = model.classify(name)
-            out[i] = Prediction(pred.label, pred.p_female, f"stage1:{pred.source}")
+        out = MleInferrer(model, id=f"stage1:{model.model_id}").infer_batch(names)
+        deferred = [i for i, pred in enumerate(out) if pred.p_female is None or lo <= pred.p_female <= hi]
         if deferred:
-            answers = self.config.fallback.infer_batch([name for _, name in deferred])
-            for (i, _), pred in zip(deferred, answers):
+            answers = self.config.fallback.infer_batch([names[i] for i in deferred])
+            for i, pred in zip(deferred, answers):
                 out[i] = Prediction(pred.label, pred.p_female, f"stage2:{pred.source}")
-        return out  # type: ignore[return-value]
+        return out

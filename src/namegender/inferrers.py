@@ -9,14 +9,13 @@ reference, endpoint unreachable on the very first request) fail fast.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
-import tempfile
 import threading
 import time
 from abc import ABC, abstractmethod
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -77,29 +76,36 @@ class MockInferrer(Inferrer):
 
     def __init__(self, id: str, predictions: Mapping[str, tuple[GenderLabel, float | None]]) -> None:
         super().__init__(id)
-        self._predictions = dict(predictions)
+        self._predictions = {}
+        for name, (label, p_female) in predictions.items():
+            try:
+                self._predictions[name] = Prediction(label, p_female, id)
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"entry {name!r}: {exc}") from None
+        self._unknown = Prediction(GenderLabel.UNKNOWN, None, id)
 
     @classmethod
     def from_json(cls, path: str | Path, id: str | None = None) -> "MockInferrer":
         """Load a mapping file: {"anna": {"label": "female", "p_female": 0.99}}."""
         path = Path(path)
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        predictions = {}
-        for name, entry in raw.items():
-            label = GenderLabel(entry["label"])
-            predictions[name] = (label, entry.get("p_female"))
-        return cls(id if id is not None else path.stem, predictions)
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(raw, dict):
+                raise ValueError("expected an object mapping names to entries")
+            predictions = {}
+            for name, entry in raw.items():
+                try:
+                    predictions[name] = (GenderLabel(entry["label"]), entry.get("p_female"))
+                except (KeyError, TypeError, ValueError):
+                    labels = ", ".join(label.value for label in GenderLabel)
+                    raise ValueError(f"entry {name!r}: expected an object with a label out of {labels}") from None
+            return cls(id if id is not None else path.stem, predictions)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
-        out = []
-        for name in names:
-            entry = self._predictions.get(name)
-            if entry is None:
-                out.append(Prediction(GenderLabel.UNKNOWN, None, self.id))
-            else:
-                label, p_female = entry
-                out.append(Prediction(label, p_female, self.id))
-        return out
+        get, unknown = self._predictions.get, self._unknown
+        return [get(name, unknown) for name in names]
 
 
 class MleInferrer(Inferrer):
@@ -211,6 +217,10 @@ class ExternalAdapterConfig:
             raise AdapterConfigError("rate_limit must be positive")
         if self.max_attempts < 1:
             raise AdapterConfigError("max_attempts must be >= 1")
+        if self.backoff < 0:
+            raise AdapterConfigError("backoff must be >= 0")
+        if self.timeout <= 0:
+            raise AdapterConfigError("timeout must be positive")
         if "{name}" not in self.endpoint:
             raise AdapterConfigError("endpoint template must contain {name}")
         if self.confidence_scale not in ("unit", "percent"):
@@ -290,11 +300,10 @@ def _walk_path(data: object, dotted: str) -> object:
 class HttpAdapter(Inferrer):
     """Generic adapter for services answering one GET per name with JSON.
 
-    Responses that map to a label are cached on disk under
-    <cache_dir>/<adapter-id>/<name>.json as the verbatim response text, so
-    repeated evaluations do not re-spend request quota. The name is
-    percent-encoded; when that would exceed 255 bytes, the file is named by
-    the SHA-256 hex digest of the name instead.
+    Responses that map to a label are stored verbatim in one SQLite file per
+    adapter, <cache_dir>/<adapter-id>.sqlite, so repeated evaluations do not
+    re-spend request quota. A stored response that no longer maps under the
+    current config is fetched again and replaced.
     """
 
     def __init__(self, config: ExternalAdapterConfig, session=None) -> None:
@@ -302,15 +311,7 @@ class HttpAdapter(Inferrer):
         self.config = config
         self._session = session
         self._limiter = RateLimiter(config.rate_limit)
-        self._lock = threading.Lock()  # guards _session creation and _ever_succeeded
         self._ever_succeeded = False
-
-    def _get_session(self):
-        with self._lock:
-            if self._session is None:
-                import requests
-                self._session = requests.Session()
-            return self._session
 
     def _credential(self) -> str:
         env = self.config.credential_env
@@ -321,27 +322,36 @@ class HttpAdapter(Inferrer):
             raise AdapterConfigError(f"{self.id}: credential variable {env!r} is not set")
         return value
 
-    def _cache_path(self, name: str) -> Path | None:
-        if self.config.cache_dir is None:
-            return None
-        stem = quote(name, safe="")
-        if len(stem) + len(".json") > 255:
-            stem = hashlib.sha256(name.encode("utf-8")).hexdigest()
-        return Path(self.config.cache_dir) / self.id / (stem + ".json")
+    def _open_store(self):
+        """The response store as a sqlite3 connection; without a cache_dir, one in memory for one batch."""
+        import sqlite3
+
+        path = ":memory:"
+        if self.config.cache_dir is not None:
+            path = Path(self.config.cache_dir) / f"{self.id}.sqlite"
+            path.parent.mkdir(parents=True, exist_ok=True)
+        db = None
+        try:
+            db = sqlite3.connect(path)
+            db.execute("CREATE TABLE IF NOT EXISTS responses (name TEXT PRIMARY KEY, text TEXT NOT NULL)")
+        except sqlite3.Error as exc:
+            if db is not None:
+                db.close()
+            raise AdapterConfigError(f"{path}: cannot open the response store: {exc}") from None
+        return db
 
     def _fetch(self, name: str, credential: str) -> str | None:
         """Return raw response text, or None when all attempts failed."""
         import requests
 
         url = self.config.endpoint.format(name=quote(name, safe=""), credential=credential)
-        session = self._get_session()
         last_error: Exception | None = None
         for attempt in range(self.config.max_attempts):
             if attempt:
                 time.sleep(self.config.backoff * (2 ** (attempt - 1)))
             self._limiter.acquire()
             try:
-                response = session.get(url, timeout=self.config.timeout)
+                response = self._session.get(url, timeout=self.config.timeout)
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
                 continue
@@ -351,64 +361,60 @@ class HttpAdapter(Inferrer):
             if response.status_code != 200:
                 logger.warning("%s: %r -> HTTP %d", self.id, name, response.status_code)
                 return None
-            with self._lock:
-                self._ever_succeeded = True
+            self._ever_succeeded = True
             return response.text
-        with self._lock:
-            unreachable = isinstance(last_error, requests.ConnectionError) and not self._ever_succeeded
-        if unreachable:
+        if isinstance(last_error, requests.ConnectionError) and not self._ever_succeeded:
             raise AdapterUnreachableError(f"{self.id}: endpoint unreachable: {last_error}")
         logger.warning("%s: %r failed after %d attempts: %s", self.id, name, self.config.max_attempts, last_error)
         return None
 
-    def _parse(self, text: str) -> Prediction:
-        data = json.loads(text)
-        confidence = None
-        if self.config.confidence_path:
-            confidence = _walk_path(data, self.config.confidence_path)
-        return map_external_label(
-            _walk_path(data, self.config.label_path),
-            confidence,
-            self.config.label_aliases,
-            default=self.config.default_label,
-            confidence_scale=self.config.confidence_scale,
-            source=self.id,
-        )
-
-    def _infer_one(self, name: str, credential: str) -> Prediction:
-        """Answer from the cache or the service; only mappable responses are cached."""
-        cache = self._cache_path(name)
-        cached = cache is not None and cache.exists()
-        text = cache.read_text(encoding="utf-8") if cached else self._fetch(name, credential)  # type: ignore[union-attr]
+    def _parse(self, name: str, text: str | None) -> Prediction | None:
+        """The response's Prediction, or None when there is none or it does not parse or map."""
         if text is None:
-            return Prediction(GenderLabel.UNKNOWN, None, self.id)
+            return None
         try:
-            prediction = self._parse(text)
+            data = json.loads(text)
+            confidence = None
+            if self.config.confidence_path:
+                confidence = _walk_path(data, self.config.confidence_path)
+            return map_external_label(
+                _walk_path(data, self.config.label_path),
+                confidence,
+                self.config.label_aliases,
+                default=self.config.default_label,
+                confidence_scale=self.config.confidence_scale,
+                source=self.id,
+            )
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             logger.warning("%s: unusable response for %r: %s", self.id, name, exc)
-            return Prediction(GenderLabel.UNKNOWN, None, self.id)
-        if cache is not None and not cached:  # _infer_chunk made cache.parent
-            with tempfile.NamedTemporaryFile("w", dir=cache.parent, encoding="utf-8", delete=False) as tmp:
-                tmp.write(text)
-            os.replace(tmp.name, cache)
-        return prediction
+            return None
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
         credential = self._credential()
-        if self.config.cache_dir is not None:
-            Path(self.config.cache_dir, self.id).mkdir(parents=True, exist_ok=True)
-        # each distinct name is fetched or read from the cache once per batch
-        distinct = list(dict.fromkeys(names))
-        if self.config.max_in_flight == 1:
-            answers = [self._infer_one(name, credential) for name in distinct]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
+        with closing(self._open_store()) as db:
+            # each distinct name is read from the store, or else fetched, once per batch
+            answers: dict[str, Prediction | None] = {}
+            for name in dict.fromkeys(names):
+                row = db.execute("SELECT text FROM responses WHERE name = ?", (name,)).fetchone()
+                answers[name] = self._parse(name, row[0] if row else None)
+            misses = [name for name, answer in answers.items() if answer is None]
+            if misses:
+                from concurrent.futures import ThreadPoolExecutor
 
-            # the pool is handed at most batch_limit names at a time
-            limit = self.config.batch_limit
-            answers = []
-            with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-                for start in range(0, len(distinct), limit):
-                    answers.extend(pool.map(lambda n: self._infer_one(n, credential), distinct[start : start + limit]))
-        by_name = dict(zip(distinct, answers))
-        return [by_name[name] for name in names]
+                if self._session is None:
+                    import requests
+                    self._session = requests.Session()
+                # pool threads only fetch; this thread parses and stores, one transaction per chunk
+                limit = self.config.batch_limit
+                with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
+                    for start in range(0, len(misses), limit):
+                        chunk = misses[start : start + limit]
+                        mapped = []
+                        for name, text in zip(chunk, pool.map(lambda n: self._fetch(n, credential), chunk)):
+                            answers[name] = self._parse(name, text)
+                            if answers[name] is not None:
+                                mapped.append((name, text))
+                        with db:
+                            db.executemany("INSERT OR REPLACE INTO responses VALUES (?, ?)", mapped)
+        unknown = Prediction(GenderLabel.UNKNOWN, None, self.id)
+        return [answers[name] or unknown for name in names]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import string
+import time
 
 import pytest
 
@@ -9,6 +10,27 @@ from namegender.corpus import FrequencyTable, GenderCounts, NameType
 
 VOWELS = "aeiou"
 CONSONANTS = "".join(c for c in string.ascii_lowercase if c not in VOWELS)
+
+
+class FakeResponse:
+    def __init__(self, status_code: int, text: str = "") -> None:
+        self.status_code = status_code
+        self.text = text
+
+
+class FakeSession:
+    """Counting fake endpoint; handler(url) -> FakeResponse or raises."""
+
+    def __init__(self, handler) -> None:
+        self.handler = handler
+        self.calls: list[tuple[float, str]] = []
+
+    def get(self, url, timeout=None):
+        self.calls.append((time.monotonic(), url))
+        result = self.handler(url)
+        if isinstance(result, Exception):
+            raise result
+        return result
 
 
 def random_name(rng: random.Random, min_len: int = 2, max_len: int = 10) -> str:

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from namegender import cli
 from namegender.corpus import FrequencyTable, GenderCounts, NameType, pairwise_overlap, read_table
+from namegender.inferrers import HttpAdapter, parse_adapter_config
 from namegender.mle import load_model, save_model, train
+
+from conftest import FakeResponse, FakeSession
 
 DATA = Path(__file__).parent / "data"
 
@@ -352,34 +355,69 @@ def test_eval_with_mock_matches_hand_fixture(tmp_path):
     assert lines[1] == "m\tdemo\t4\t50.00\t100.00\t50.00\t66.67\t-33.33"
 
 
-def test_requests_is_imported_only_to_fetch(tmp_path):
-    """Importing the CLI and an eval answered from a warm HTTP cache never load requests."""
-    testset = tmp_path / "demo.test.tsv"
-    write_testset_file(testset, [("ana", "female"), ("carl", "male")])
-    for name, gender in (("ana", "female"), ("carl", "male")):
-        cached = tmp_path / "cache" / "svc" / f"{name}.json"
-        cached.parent.mkdir(parents=True, exist_ok=True)
-        cached.write_text(json.dumps({"gender": gender, "probability": 0.9}), encoding="utf-8")
+def write_http_conf(tmp_path: Path) -> Path:
     conf = tmp_path / "svc.conf"
     conf.write_text(
         "id = svc\nendpoint = http://127.0.0.1:9/?name={name}\n"
         f"confidence_path = probability\ncache_dir = {tmp_path / 'cache'}\n",
         encoding="utf-8",
     )
+    return conf
+
+
+def test_requests_is_imported_only_to_fetch(tmp_path):
+    """Importing the CLI never loads requests or sqlite3, an mle: infer never loads sqlite3,
+    and an eval answered from a warm HTTP cache never loads requests."""
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female"), ("carl", "male")])
+    conf = write_http_conf(tmp_path)
+    bodies = {"ana": {"gender": "female", "probability": 0.9}, "carl": {"gender": "male", "probability": 0.9}}
+    session = FakeSession(lambda url: FakeResponse(200, json.dumps(bodies[url.rsplit("=", 1)[1]])))
+    assert len(HttpAdapter(parse_adapter_config(conf), session=session).infer_batch(list(bodies))) == 2
+    model = tmp_path / "t.model.tsv"
+    save_model(train(FrequencyTable({"ana": GenderCounts(9, 1)}, NameType.FIRST, "t"), 0.75), model)
+    names = tmp_path / "names.txt"
+    names.write_text("ana\nzed\n", encoding="utf-8")
+    infer = ["infer", str(names), "--inferrer", f"mle:{model}", "--out", str(tmp_path / "pred.tsv")]
     argv = ["eval", "--test", str(testset), "--inferrer", f"http:{conf}", "--out-dir", str(tmp_path / "out")]
     script = (
         "import sys\n"
         "from namegender import cli\n"
-        "print('requests' in sys.modules)\n"
+        "print('requests' in sys.modules, 'sqlite3' in sys.modules)\n"
+        f"print(cli.main({infer!r}), 'sqlite3' in sys.modules)\n"
         f"print(cli.main({argv!r}))\n"
         "print('requests' in sys.modules)\n"
     )
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert done.stdout.split() == ["False", "0", "False"]
+    assert done.stdout.split() == ["False", "False", "0", "False", "0", "False"]
     lines = (tmp_path / "out" / "report.tsv").read_text(encoding="utf-8").splitlines()
     assert lines[1] == "svc\tdemo\t2\t100.00\t100.00\t100.00\t100.00\t0.00"
+
+
+def test_eval_fails_cleanly_on_a_cache_file_that_is_not_a_store(tmp_path, capsys):
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female")])
+    conf = write_http_conf(tmp_path)
+    store = tmp_path / "cache" / "svc.sqlite"
+    store.parent.mkdir()
+    store.write_text("ana\tfemale\n" * 40, encoding="utf-8")
+    capsys.readouterr()
+    assert run("eval", "--test", str(testset), "--inferrer", f"http:{conf}", "--out-dir", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"namegender: error: {store}: ") and err.count("\n") == 1
+
+
+def test_eval_fails_cleanly_on_a_mock_entry_without_a_label(tmp_path, capsys):
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female")])
+    mock = tmp_path / "mock.json"
+    write_mock_file(mock, {"ana": {"label": "female", "p_female": 1.0}, "bo": {"p_female": 0.2}})
+    capsys.readouterr()
+    assert run("eval", "--test", str(testset), "--inferrer", f"m=mock:{mock}", "--out-dir", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"namegender: error: {mock}: entry 'bo': ") and err.count("\n") == 1
 
 
 def test_eval_na_flag_marks_cells(tmp_path):

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
-import hashlib
 import json
+import sqlite3
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -26,28 +27,13 @@ from namegender.inferrers import (
 )
 from namegender.mle import GenderLabel, Prediction, train
 
-from conftest import random_table
+from conftest import FakeResponse, FakeSession, random_table
 
 
-class FakeResponse:
-    def __init__(self, status_code: int, text: str = "") -> None:
-        self.status_code = status_code
-        self.text = text
-
-
-class FakeSession:
-    """Counting fake endpoint; handler(url) -> FakeResponse or raises."""
-
-    def __init__(self, handler) -> None:
-        self.handler = handler
-        self.calls: list[tuple[float, str]] = []
-
-    def get(self, url, timeout=None):
-        self.calls.append((time.monotonic(), url))
-        result = self.handler(url)
-        if isinstance(result, Exception):
-            raise result
-        return result
+def stored(cache_dir) -> dict[str, str]:
+    """The adapter's response store as name -> stored text."""
+    with closing(sqlite3.connect(Path(cache_dir) / "svc.sqlite")) as db:
+        return dict(db.execute("SELECT name, text FROM responses"))
 
 
 def adapter_config(**overrides) -> ExternalAdapterConfig:
@@ -82,6 +68,33 @@ def test_mock_from_json(tmp_path):
     mock = MockInferrer.from_json(path)
     assert mock.id == "preds"
     assert mock.infer("anna").label is GenderLabel.FEMALE
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ({"p_female": 0.9}, "expected an object with a label"),
+    ("female", "expected an object with a label"),
+    ({"label": "woman", "p_female": 0.9}, "expected an object with a label"),
+    ({"label": "female", "p_female": 1.5}, "outside [0, 1]"),
+    ({"label": "unknown", "p_female": 0.5}, "carry no probability"),
+    ({"label": "female"}, "requires p_female"),
+    ({"label": "male", "p_female": "0.1"}, "not supported"),
+])
+def test_mock_from_json_names_the_file_and_the_bad_entry(tmp_path, entry, reason):
+    path = tmp_path / "preds.json"
+    path.write_text(json.dumps({"anna": {"label": "female", "p_female": 0.9}, "bo": entry}), encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        MockInferrer.from_json(path)
+    assert str(caught.value).startswith(f"{path}: entry 'bo': ")
+    assert reason in str(caught.value)
+
+
+def test_mock_from_json_keeps_non_float_probabilities(tmp_path):
+    path = tmp_path / "preds.json"
+    path.write_text(json.dumps({"a": {"label": "female", "p_female": 1}, "b": {"label": "male", "p_female": False}}),
+                    encoding="utf-8")
+    preds = MockInferrer.from_json(path).infer_batch(["a", "b", "a"])
+    assert [type(p.p_female) for p in preds] == [int, bool, int]
+    assert preds[0] is preds[2]
 
 
 def test_empty_batch_rejected():
@@ -127,13 +140,20 @@ def test_adapter_reads_a_cached_name_once_per_batch(tmp_path, monkeypatch):
     body = json.dumps({"gender": "male", "accuracy": 80})
     first = HttpAdapter(config, session=FakeSession(lambda url: FakeResponse(200, body)))
     assert first.infer("bo").label is GenderLabel.MALE
-    reads = []
-    read_text = Path.read_text
-    monkeypatch.setattr(Path, "read_text", lambda self, *a, **kw: reads.append(self.name) or read_text(self, *a, **kw))
+    statements = []
+    connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        db = connect(*args, **kwargs)
+        db.set_trace_callback(statements.append)
+        return db
+
+    monkeypatch.setattr(sqlite3, "connect", traced_connect)
     replay = FakeSession(lambda url: FakeResponse(500))
     preds = HttpAdapter(config, session=replay).infer_batch(["bo", "bo", "bo"])
     assert [p.label for p in preds] == [GenderLabel.MALE] * 3
-    assert reads == ["bo.json"] and replay.calls == []
+    assert [s for s in statements if s.startswith("SELECT")] == ["SELECT text FROM responses WHERE name = 'bo'"]
+    assert replay.calls == []
 
 
 def test_concurrent_batch_creates_one_session(monkeypatch):
@@ -220,6 +240,19 @@ def test_adapter_config_validation():
         adapter_config(max_attempts=0)
     with pytest.raises(AdapterConfigError):
         adapter_config(endpoint="https://svc.example/no-placeholder")
+
+
+def test_adapter_config_rejects_negative_backoff():
+    assert adapter_config(backoff=0.0).backoff == 0.0
+    with pytest.raises(AdapterConfigError, match="backoff"):
+        adapter_config(backoff=-1.0)
+
+
+def test_adapter_config_rejects_non_positive_timeout():
+    assert adapter_config(timeout=0.5).timeout == 0.5
+    for timeout in (0.0, -1.0):
+        with pytest.raises(AdapterConfigError, match="timeout"):
+            adapter_config(timeout=timeout)
 
 
 def test_parse_kv_file(tmp_path):
@@ -366,9 +399,7 @@ def test_adapter_caches_raw_responses(tmp_path):
     again = adapter.infer("josé")
     assert state["calls"] == 1
     assert first == again
-    cached = list((tmp_path / "svc").glob("*.json"))
-    assert len(cached) == 1
-    assert cached[0].read_text(encoding="utf-8") == body
+    assert stored(tmp_path) == {"josé": body}
 
 
 def test_rate_limiter_bounds_sliding_window():
@@ -421,7 +452,7 @@ def test_adapter_does_not_cache_unmappable_response(tmp_path):
     config = adapter_config(cache_dir=str(tmp_path))
     broken = HttpAdapter(config, session=FakeSession(lambda url: FakeResponse(200, "<html>oops")))
     assert broken.infer("anna").label is GenderLabel.UNKNOWN
-    assert not list(tmp_path.rglob("*.json"))
+    assert stored(tmp_path) == {}
     # a later run asks the service again instead of replaying the bad body
     session = FakeSession(lambda url: FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90})))
     assert HttpAdapter(config, session=session).infer("anna").label is GenderLabel.FEMALE
@@ -438,17 +469,16 @@ def test_adapter_caches_cleanly_mapped_unknown(tmp_path):
     assert session.calls == []
 
 
-def test_adapter_caches_long_names_under_a_hash(tmp_path):
-    long_name = "佐藤" * 15  # 30 characters, 270 bytes once percent-encoded
+def test_adapter_stores_long_names(tmp_path):
+    long_names = ["佐藤" * 15, "a/b" * 400]  # longer than a file name may be, once percent-encoded
     body = json.dumps({"gender": "male", "accuracy": 80})
     config = adapter_config(cache_dir=str(tmp_path))
     session = FakeSession(lambda url: FakeResponse(200, body))
-    preds = HttpAdapter(config, session=session).infer_batch(["anna", long_name])
-    assert [p.label for p in preds] == [GenderLabel.MALE, GenderLabel.MALE]
-    digest = hashlib.sha256(long_name.encode("utf-8")).hexdigest()
-    assert sorted(p.name for p in (tmp_path / "svc").iterdir()) == sorted(["anna.json", f"{digest}.json"])
+    preds = HttpAdapter(config, session=session).infer_batch(["anna", *long_names])
+    assert [p.label for p in preds] == [GenderLabel.MALE] * 3
+    assert stored(tmp_path) == dict.fromkeys(["anna", *long_names], body)
     replay = FakeSession(lambda url: FakeResponse(500))
-    assert HttpAdapter(config, session=replay).infer(long_name).label is GenderLabel.MALE
+    assert [p.label for p in HttpAdapter(config, session=replay).infer_batch(long_names)] == [GenderLabel.MALE] * 2
     assert replay.calls == []
 
 
@@ -463,5 +493,34 @@ def test_adapter_fills_a_cache_dir_that_does_not_exist_yet(tmp_path, max_in_flig
     config = adapter_config(cache_dir=str(cache_dir), max_in_flight=max_in_flight)
     preds = HttpAdapter(config, session=FakeSession(handler)).infer_batch(["anna", "bo"])
     assert [p.label for p in preds] == [GenderLabel.FEMALE, GenderLabel.MALE]
-    cached = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in (cache_dir / "svc").iterdir()}
-    assert cached == {"anna.json": bodies["anna"], "bo.json": bodies["bo"]}
+    assert stored(cache_dir) == {name: json.dumps(body) for name, body in bodies.items()}
+
+
+def test_adapter_refetches_a_stored_response_that_no_longer_maps(tmp_path):
+    odd = json.dumps({"gender": "nonbinary", "accuracy": 90})
+    lenient = adapter_config(cache_dir=str(tmp_path), default_label=GenderLabel.AMBIGUOUS)
+    assert HttpAdapter(lenient, session=FakeSession(lambda url: FakeResponse(200, odd))).infer("kim").label \
+        is GenderLabel.AMBIGUOUS
+    assert stored(tmp_path) == {"kim": odd}
+    # without the default the stored text no longer maps: it is fetched again and replaced, not answered unknown
+    fresh = json.dumps({"gender": "female", "accuracy": 90})
+    strict = adapter_config(cache_dir=str(tmp_path))
+    session = FakeSession(lambda url: FakeResponse(200, fresh))
+    assert HttpAdapter(strict, session=session).infer("kim").label is GenderLabel.FEMALE
+    assert len(session.calls) == 1
+    assert stored(tmp_path) == {"kim": fresh}
+    replay = FakeSession(lambda url: FakeResponse(500))
+    assert HttpAdapter(strict, session=replay).infer("kim").label is GenderLabel.FEMALE
+    assert replay.calls == []
+
+
+def test_adapter_stores_each_chunk_before_fetching_the_next(tmp_path):
+    def handler(url):
+        if url.endswith("=n2"):
+            raise RuntimeError("crash")  # not a per-name failure: it ends the batch
+        return FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90}))
+
+    config = adapter_config(cache_dir=str(tmp_path), batch_limit=2)
+    with pytest.raises(RuntimeError, match="crash"):
+        HttpAdapter(config, session=FakeSession(handler)).infer_batch(["n0", "n1", "n2", "n3"])
+    assert sorted(stored(tmp_path)) == ["n0", "n1"]

@@ -39,7 +39,8 @@ from namegender.evaluation import (
     aggregate,
     score,
 )
-from namegender.inferrers import MleInferrer
+from namegender.ensemble import TwoStageConfig, TwoStageInferrer
+from namegender.inferrers import MleInferrer, MockInferrer
 from namegender.mle import GenderLabel, MleModel, Prediction, train
 
 # Raw names repeat with case and space variants, and include titles, digits,
@@ -381,3 +382,32 @@ def test_mle_batch_classifies_once_per_count_pair(case):
             got = MleInferrer(model, id=id).infer_batch(queries)
             assert got == [Prediction(p.label, p.p_female, source) for p in expected]
             assert len(calls) == len({entries[name] for name in queries if name in entries})
+
+
+# p(female) of these pairs lands exactly on 0, 0.2, 0.25, 0.5, 0.75, 0.8 and 1, the endpoints of every band below
+BAND_PAIRS = st.sampled_from([(0, 2), (1, 4), (1, 3), (2, 2), (3, 1), (4, 1), (2, 0), (3, 2)])
+BANDS = st.sampled_from([(0.25, 0.75), (0.2, 0.8), (0.0, 0.5), (0.5, 1.0), (0.25, 0.5)])
+FALLBACK_ENTRIES = st.sampled_from([(GenderLabel.FEMALE, 0.7), (GenderLabel.MALE, 0.2), (GenderLabel.AMBIGUOUS, 0.5),
+                                    (GenderLabel.UNKNOWN, None)])
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.text("abé", min_size=1, max_size=3), BAND_PAIRS, min_size=1, max_size=10),
+       st.dictionaries(st.text("abéz", min_size=1, max_size=3), FALLBACK_ENTRIES, max_size=10),
+       BANDS, st.sampled_from([0.5, 0.75, 0.9]), st.data())
+def test_two_stage_batch_matches_the_per_name_rule(pairs, fallback_entries, band, tau, data):
+    model = train(FrequencyTable({n: GenderCounts(*fm) for n, fm in pairs.items()}, NameType.FIRST, "t"), tau)
+    fallback = MockInferrer("fb", fallback_entries)
+    names = st.sampled_from(sorted(pairs.keys() | fallback_entries.keys()))
+    queries = data.draw(st.lists(st.one_of(names, st.text("abéz", max_size=3)), min_size=1, max_size=40))
+    lo, hi = band
+    expected = []
+    for name in queries:
+        fm = pairs.get(name)
+        if fm is None or lo <= fm[0] / sum(fm) <= hi:
+            pred = fallback.infer(name)
+            expected.append(Prediction(pred.label, pred.p_female, f"stage2:{pred.source}"))
+        else:
+            pred = model.classify(name)
+            expected.append(Prediction(pred.label, pred.p_female, f"stage1:{pred.source}"))
+    assert TwoStageInferrer(TwoStageConfig(model, fallback, band)).infer_batch(queries) == expected
