@@ -11,6 +11,7 @@ manifest itself is the only file carrying a timestamp.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__
 from . import analysis, corpus, evaluation, mle
@@ -32,6 +33,7 @@ from .ensemble import (
     VotingInferrer,
 )
 from .inferrers import (
+    AdapterUnreachableError,
     HttpAdapter,
     Inferrer,
     MleInferrer,
@@ -338,43 +340,71 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_names(source: str) -> list[str]:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text(encoding="utf-8")
-    # Lines end at "\n", "\r\n" or "\r" (stdin does not translate them to "\n"
-    # as a file read does; "\r\n" leaves a blank line, which is dropped).
-    # splitlines would also break names at \x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029.
-    lines = text.replace("\r", "\n").split("\n")
-    return [name for name in map(str.strip, lines) if name]
+# Characters read per block of infer input, about 4k names: infer holds the
+# model and one block, and writes each block's lines before reading on.
+_BLOCK_CHARS = 1 << 15
+# Prediction objects whose output text infer keeps across blocks; past this
+# many the cache starts over, so inferrers that build new objects per block
+# do not grow it.
+_FORMAT_CACHE_LIMIT = 1 << 14
 
 
-def _infer_lines(names: Sequence[str], predictions: Sequence[mle.Prediction], structured: bool) -> list[str]:
-    """infer's output lines; the text around each name is formatted once per Prediction object.
+def _name_blocks(source: TextIO) -> Iterator[list[str]]:
+    """The stripped, non-blank lines of source, one list per block read.
 
-    Repeated names and unknowns share one object (see MleInferrer), and the
-    predictions list keeps every object alive, so id() keys stay distinct.
+    Lines end at "\n", "\r\n" or "\r" (stdin does not translate them to "\n"
+    as a file read does; "\r\n" leaves a blank line, which is dropped).
+    splitlines would also break names at \x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029.
+    A line cut by the end of a block is carried into the next block.
+    """
+    tail = ""
+    while True:
+        block = source.read(_BLOCK_CHARS)
+        lines = (tail + block).replace("\r", "\n").split("\n")
+        tail = lines.pop() if block else ""
+        names = [name for name in map(str.strip, lines) if name]
+        if names:
+            yield names
+        if not block:
+            return
+
+
+def _line_formatter(structured: bool) -> Callable[[Sequence[str], Sequence[mle.Prediction]], str]:
+    """A function giving infer's output lines for one block, without the TSV header.
+
+    The text around each name is formatted once per Prediction object: repeated
+    names and unknowns share one object (see MleInferrer). The cache holds each
+    Prediction it keys by id(), so the keys stay distinct.
     A structured line equals json.dumps(record, sort_keys=True): json writes a
     float (finite, as Prediction checks) as float.__repr__, and a mock's 1,
     true or null as json.dumps does.
     """
     if structured:
-        def parts(p: mle.Prediction) -> tuple[str, str]:
+        def parts(p: mle.Prediction) -> tuple[mle.Prediction, str, str]:
             pf = p.p_female
             p_json = float.__repr__(pf) if isinstance(pf, float) else json.dumps(pf)
-            return (f'{{"label": "{p.label.value}", "name": ',
-                    f', "p_female": {p_json}, "source": {json.dumps(p.source)}}}')
-        lines, encode = [], encode_basestring_ascii
+            return (p, f'{{"label": "{p.label.value}", "name": ',
+                    f', "p_female": {p_json}, "source": {json.dumps(p.source)}}}\n')
+        encode = encode_basestring_ascii
     else:
-        def parts(p: mle.Prediction) -> tuple[str, str]:
+        def parts(p: mle.Prediction) -> tuple[mle.Prediction, str, str]:
             p_cell = "NA" if p.p_female is None else f"{p.p_female:.6f}"
-            return "", f"\t{p.label.value}\t{p_cell}\t{p.source}"
-        lines, encode = ["name\tlabel\tp_female\tsource"], str
-    cache: dict[int, tuple[str, str]] = {}
-    for n, p in zip(names, predictions):
-        head_tail = cache.get(id(p))
-        if head_tail is None:
-            head_tail = cache[id(p)] = parts(p)
-        lines.append(head_tail[0] + encode(n) + head_tail[1])
-    return lines
+            return p, "", f"\t{p.label.value}\t{p_cell}\t{p.source}\n"
+        encode = str
+    cache: dict[int, tuple[mle.Prediction, str, str]] = {}
+
+    def format_block(names: Sequence[str], predictions: Sequence[mle.Prediction]) -> str:
+        if len(cache) > _FORMAT_CACHE_LIMIT:
+            cache.clear()
+        lines = []
+        for n, p in zip(names, predictions):
+            entry = cache.get(id(p))
+            if entry is None:
+                entry = cache[id(p)] = parts(p)
+            lines.append(entry[1] + encode(n) + entry[2])
+        return "".join(lines)
+
+    return format_block
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
@@ -383,19 +413,35 @@ def cmd_infer(args: argparse.Namespace) -> int:
         raise ValueError("infer requires --model or --inferrer")
     config_paths: list[Path] = []
     inferrer = build_inferrer(spec, config_paths)
-    names = _read_names(args.names)
-    if not names:
+    format_block = _line_formatter(args.format == "structured")
+    out_path = Path(args.out) if args.out else None
+    sink = None
+    with contextlib.ExitStack() as stack:
+        source = sys.stdin if args.names == "-" else stack.enter_context(open(args.names, encoding="utf-8"))
+        try:
+            for names in _name_blocks(source):
+                text = format_block(names, inferrer.infer_batch(names))
+                if sink is None:
+                    if out_path is None:
+                        sink = sys.stdout
+                    else:
+                        _out_dir(out_path.parent)
+                        sink = stack.enter_context(open(out_path, "w", encoding="utf-8"))
+                    if args.format != "structured":
+                        sink.write("name\tlabel\tp_female\tsource\n")
+                sink.write(text)
+                sink.flush()
+        except BaseException:
+            # a failed run leaves no partial --out file behind
+            if sink is not None and out_path is not None:
+                sink.close()
+                out_path.unlink(missing_ok=True)
+            raise
+    if sink is None:
         raise ValueError("no names to infer")
-    predictions = inferrer.infer_batch(names)
-    text = "\n".join(_infer_lines(names, predictions, args.format == "structured")) + "\n"
-    if args.out:
-        out_path = Path(args.out)
-        _out_dir(out_path.parent)
-        out_path.write_text(text, encoding="utf-8")
+    if out_path is not None:
         inputs = [] if args.names == "-" else [Path(args.names)]
         _write_manifest(args, out_path.parent, "infer", inputs=inputs, configs=config_paths)
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -570,7 +616,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, AdapterUnreachableError) as exc:
         print(f"namegender: error: {exc}", file=sys.stderr)
         return 1
 

@@ -157,14 +157,20 @@ def normalize_name(raw: str, titles: frozenset[str] | set[str] = DEFAULT_TITLES)
     returns.
     """
     name = " ".join(raw.split()).lower()
-    if any(ch.isdigit() for ch in name):
+    letters = name.replace(" ", "")
+    # No code point is both a letter and a digit, so an all-letter name has no digit.
+    if letters.isalpha():
+        letter_count = len(letters)
+    elif any(map(str.isdigit, name)):
         return Rejection.INVALID_CHARACTERS
-    if sum(1 for ch in name if ch.isalpha()) < 2:
+    else:
+        letter_count = sum(map(str.isalpha, name))
+    if letter_count < 2:
         return Rejection.TOO_SHORT
     if name.rstrip(".") in titles:
         return Rejection.IS_TITLE
-    folded = unicodedata.normalize("NFKD", name)
-    if not any(ch in VOWELS for ch in folded):
+    # NFKD keeps every ASCII vowel, so only a name without one needs folding.
+    if VOWELS.isdisjoint(name) and VOWELS.isdisjoint(unicodedata.normalize("NFKD", name)):
         return Rejection.NO_VOWEL
     return name
 

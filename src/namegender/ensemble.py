@@ -95,11 +95,11 @@ class TwoStageInferrer(Inferrer):
             id = f"{config.primary.model_id}+{config.fallback.id}"
         super().__init__(id)
         self.config = config
+        self._stage1 = MleInferrer(config.primary, id=f"stage1:{config.primary.model_id}")
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
-        model = self.config.primary
         lo, hi = self.config.defer_band
-        out = MleInferrer(model, id=f"stage1:{model.model_id}").infer_batch(names)
+        out = self._stage1.infer_batch(names)
         deferred = [i for i, pred in enumerate(out) if pred.p_female is None or lo <= pred.p_female <= hi]
         if deferred:
             answers = self.config.fallback.infer_batch([names[i] for i in deferred])

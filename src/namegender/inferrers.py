@@ -109,19 +109,25 @@ class MockInferrer(Inferrer):
 
 
 class MleInferrer(Inferrer):
-    """Adapter exposing a trained MleModel through the batch interface."""
+    """Adapter exposing a trained MleModel through the batch interface.
+
+    A known name's answer depends only on its counts and tau, so the inferrer
+    keeps, for its whole life, one Prediction per distinct GenderCounts value
+    it has answered (a value key: in-process tables share no objects) and one
+    unknown for every absent name. The model is immutable, so this memo holds
+    at most one entry per distinct count pair of the model, however many
+    names are queried.
+    """
 
     def __init__(self, model: MleModel, id: str | None = None) -> None:
         super().__init__(id if id is not None else model.model_id)
         self.model = model
+        self._unknown = Prediction(GenderLabel.UNKNOWN, None, self.id)
+        self._by_counts: dict[GenderCounts, Prediction] = {}
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
-        # A known name's answer depends only on its counts and tau, so each call
-        # classifies once per distinct GenderCounts value (not object: in-process
-        # tables share none) and every absent name shares one unknown.
-        answers = dict.fromkeys(names, Prediction(GenderLabel.UNKNOWN, None, self.id))
-        entries = self.model.table.entries
-        by_counts: dict[GenderCounts, Prediction] = {}
+        answers = dict.fromkeys(names, self._unknown)
+        entries, by_counts = self.model.table.entries, self._by_counts
         for name in answers:
             counts = entries.get(name)
             if counts is not None:

@@ -4,13 +4,16 @@ import contextlib
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+import requests
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from namegender import cli
@@ -326,6 +329,101 @@ def test_infer_output_matches_reference_formatting(counts, mock, data):
                 assert out.getvalue() == _reference_infer_output(names, records, fmt == "structured"), (spec, fmt)
 
 
+def _unstreamed_infer_output(text, inferrer, structured):
+    """infer's output as the command built it before streaming: the earlier
+    _read_names and _infer_lines, kept verbatim apart from taking the text."""
+    lines = text.replace("\r", "\n").split("\n")
+    names = [name for name in map(str.strip, lines) if name]
+    predictions = inferrer.infer_batch(names)
+    if structured:
+        def parts(p):
+            pf = p.p_female
+            p_json = float.__repr__(pf) if isinstance(pf, float) else json.dumps(pf)
+            return (f'{{"label": "{p.label.value}", "name": ',
+                    f', "p_female": {p_json}, "source": {json.dumps(p.source)}}}')
+        lines, encode = [], encode_basestring_ascii
+    else:
+        def parts(p):
+            p_cell = "NA" if p.p_female is None else f"{p.p_female:.6f}"
+            return "", f"\t{p.label.value}\t{p_cell}\t{p.source}"
+        lines, encode = ["name\tlabel\tp_female\tsource"], str
+    cache = {}
+    for n, p in zip(names, predictions):
+        head_tail = cache.get(id(p))
+        if head_tail is None:
+            head_tail = cache[id(p)] = parts(p)
+        lines.append(head_tail[0] + encode(n) + head_tail[1])
+    return "\n".join(lines) + "\n"
+
+
+STREAM_MODEL = {"ann": (3, 0), "bé": (1, 1), "あい": (0, 2), "zoë": (9, 1)}
+STREAM_NAMES = st.one_of(st.sampled_from(sorted(STREAM_MODEL)), st.text("aBé あ\t\x85\u2028\U0001d518", min_size=1, max_size=5))
+STREAM_LINES = st.one_of(STREAM_NAMES, STREAM_NAMES.map(lambda n: f"  {n}\t"), st.sampled_from(["", " ", "\t", "\u3000 "]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(STREAM_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=25),
+       STREAM_LINES, st.integers(1, 9))
+def test_streamed_infer_matches_the_unstreamed_output(lines, last, block_chars):
+    # a few characters per block put boundaries inside names and inside \r\n
+    text = "".join(line + end for line, end in lines) + last
+    assume(text.strip())
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK_CHARS", block_chars)
+        model_path, names_path = Path(tmp, "t.model.tsv"), Path(tmp, "names.txt")
+        entries = {name: GenderCounts(*fm) for name, fm in STREAM_MODEL.items()}
+        save_model(train(FrequencyTable(entries, NameType.FIRST, "t"), 0.75), model_path)
+        names_path.write_text(text, encoding="utf-8", newline="")
+        for fmt in ("tsv", "structured"):
+            expected = _unstreamed_infer_output(names_path.read_text(encoding="utf-8"),
+                                                cli.build_inferrer(f"mle:{model_path}"), fmt == "structured")
+            for source in (str(names_path), "-"):
+                patch.setattr("sys.stdin", io.StringIO(text, newline=""))
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert run("infer", source, "--model", str(model_path), "--format", fmt) == 0
+                assert out.getvalue() == expected, (source, fmt)
+
+
+def test_infer_from_stdin_answers_each_block_before_stdin_closes(tmp_path):
+    model = tmp_path / "t.model.tsv"
+    save_model(train(FrequencyTable({"mary": GenderCounts(95, 5)}, NameType.FIRST, "t"), 0.9), model)
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = [sys.executable, "-c", "import sys; from namegender.cli import main; sys.exit(main())",
+            "infer", "-", "--model", str(model)]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env) as child:
+        try:
+            # one full block holding a single name, whose two output lines fill no stdout buffer,
+            # and the start of a second block
+            child.stdin.write("mary\n" + "\n" * cli._BLOCK_CHARS + "mary")
+            child.stdin.flush()
+            readable, _, _ = select.select([child.stdout], [], [], 60)
+            assert readable, "no output before stdin closed"
+            assert child.stdout.readline() == "name\tlabel\tp_female\tsource\n"
+            assert child.stdout.readline() == "mary\tfemale\t0.950000\tmle:t\n"
+            child.stdin.close()
+            assert child.stdout.read() == "mary\tfemale\t0.950000\tmle:t\n"
+            assert child.wait(timeout=60) == 0
+        finally:
+            child.kill()
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \t\r\n\r\u3000\n \x0b"])
+def test_infer_without_names_fails_and_writes_no_file(tmp_path, capsys, monkeypatch, text):
+    model = tmp_path / "t.model.tsv"
+    save_model(train(FrequencyTable({"mary": GenderCounts(95, 5)}, NameType.FIRST, "t"), 0.9), model)
+    names = tmp_path / "names.txt"
+    names.write_text(text, encoding="utf-8", newline="")
+    out = tmp_path / "out" / "pred.tsv"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text, newline=""))
+    capsys.readouterr()
+    for source in (str(names), "-"):
+        assert run("infer", source, "--model", str(model), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "namegender: error: no names to infer\n"
+        assert not (tmp_path / "out").exists()
+
+
 # --- eval / analyze -------------------------------------------------------------------
 
 
@@ -355,14 +453,19 @@ def test_eval_with_mock_matches_hand_fixture(tmp_path):
     assert lines[1] == "m\tdemo\t4\t50.00\t100.00\t50.00\t66.67\t-33.33"
 
 
-def write_http_conf(tmp_path: Path) -> Path:
+def write_http_conf(tmp_path: Path, cache: bool = True) -> Path:
     conf = tmp_path / "svc.conf"
     conf.write_text(
-        "id = svc\nendpoint = http://127.0.0.1:9/?name={name}\n"
-        f"confidence_path = probability\ncache_dir = {tmp_path / 'cache'}\n",
+        "id = svc\nendpoint = http://127.0.0.1:9/?name={name}\nconfidence_path = probability\n"
+        "rate_limit = 1000\nmax_attempts = 1\n" + (f"cache_dir = {tmp_path / 'cache'}\n" if cache else ""),
         encoding="utf-8",
     )
     return conf
+
+
+def http_body(url: str) -> FakeResponse:
+    name = url.rsplit("=", 1)[1]
+    return FakeResponse(200, json.dumps({"gender": "male" if name == "bob" else "female", "probability": 0.9}))
 
 
 def test_requests_is_imported_only_to_fetch(tmp_path):
@@ -418,6 +521,55 @@ def test_eval_fails_cleanly_on_a_mock_entry_without_a_label(tmp_path, capsys):
     assert run("eval", "--test", str(testset), "--inferrer", f"m=mock:{mock}", "--out-dir", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"namegender: error: {mock}: entry 'bo': ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["infer", "eval", "analyze"])
+def test_unreachable_endpoint_fails_with_one_error_line(tmp_path, capsys, monkeypatch, command):
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female")])
+    conf = write_http_conf(tmp_path)
+    monkeypatch.setattr("requests.Session", lambda: FakeSession(lambda url: requests.ConnectionError("refused")))
+    monkeypatch.setattr("sys.stdin", io.StringIO("ana\n"))
+    argv = {"infer": ["infer", "-"], "eval": ["eval", "--test", str(testset)], "analyze": ["analyze", "--test", str(testset)]}
+    capsys.readouterr()
+    assert run(*argv[command], "--inferrer", f"http:{conf}", "--out-dir", str(tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("namegender: error: svc: endpoint unreachable: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_infer_failing_in_a_later_block_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    conf = write_http_conf(tmp_path)
+    warm = HttpAdapter(parse_adapter_config(conf), session=FakeSession(http_body))
+    assert warm.infer_batch(["ana"])[0].label.value == "female"  # the first block is answered from the cache
+    out = tmp_path / "out" / "pred.tsv"
+    seen = []
+
+    def refuse(url):
+        seen.append(out.read_text(encoding="utf-8"))
+        return requests.ConnectionError("refused")
+
+    monkeypatch.setattr("requests.Session", lambda: FakeSession(refuse))
+    monkeypatch.setattr(cli, "_BLOCK_CHARS", 4)
+    monkeypatch.setattr("sys.stdin", io.StringIO("ana\nzed\n"))
+    capsys.readouterr()
+    assert run("infer", "-", "--inferrer", f"http:{conf}", "--out", str(out)) == 1
+    assert seen == ["name\tlabel\tp_female\tsource\nana\tfemale\t0.900000\tsvc\n"]
+    assert capsys.readouterr().err.startswith("namegender: error: svc: endpoint unreachable: ")
+    assert list(out.parent.iterdir()) == []
+
+
+def test_http_adapter_without_a_cache_fetches_a_name_once_per_block(tmp_path, capsys, monkeypatch):
+    conf = write_http_conf(tmp_path, cache=False)
+    session = FakeSession(http_body)
+    monkeypatch.setattr("requests.Session", lambda: session)
+    monkeypatch.setattr(cli, "_BLOCK_CHARS", 8)
+    monkeypatch.setattr("sys.stdin", io.StringIO("ana\nana\nbob\nana\n"))
+    capsys.readouterr()
+    assert run("infer", "-", "--inferrer", f"http:{conf}") == 0
+    assert [url.rsplit("=", 1)[1] for _, url in session.calls] == ["ana", "bob", "ana"]
+    assert [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()[1:]] == ["female", "female", "male", "female"]
+    assert not (tmp_path / "cache").exists()
 
 
 def test_eval_na_flag_marks_cells(tmp_path):

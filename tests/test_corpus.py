@@ -85,6 +85,11 @@ def test_empty_is_too_short():
     assert normalize_name("   ") is Rejection.TOO_SHORT
 
 
+def test_no_code_point_is_both_a_letter_and_a_digit():
+    # normalize_name skips the digit rule for all-letter names on this fact
+    assert [cp for cp in range(0x110000) if chr(cp).isalpha() and chr(cp).isdigit()] == []
+
+
 def test_interior_whitespace_collapsed():
     assert normalize_name("maria   garcia") == "maria garcia"
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import tempfile
+import unicodedata
 from collections import Counter
 from pathlib import Path
 
@@ -242,6 +243,41 @@ def models_and_queries(draw) -> tuple[dict[str, GenderCounts], float, list[str]]
     return entries, tau, queries
 
 
+def _reference_normalize_name(raw, titles=DEFAULT_TITLES):
+    """normalize_name as it was before its fast paths, kept verbatim."""
+    name = " ".join(raw.split()).lower()
+    if any(ch.isdigit() for ch in name):
+        return Rejection.INVALID_CHARACTERS
+    if sum(1 for ch in name if ch.isalpha()) < 2:
+        return Rejection.TOO_SHORT
+    if name.rstrip(".") in titles:
+        return Rejection.IS_TITLE
+    folded = unicodedata.normalize("NFKD", name)
+    if not any(ch in {"a", "e", "i", "o", "u"} for ch in folded):
+        return Rejection.NO_VOWEL
+    return name
+
+
+# Letters that change length or category when lower-cased or folded (İ, ß, ǅ, ﬀ),
+# combining marks, digits of several scripts, titles with dots and whitespace.
+NORMALIZE_PARTS = st.sampled_from([
+    "a", "E", "x", "Y", "bcd", "İ", "ß", "ǅ", "ﬀ", "Å", "é", "e\u0301", "\u0301", "\u0345", "ⓐ", "ᵃ", "あ", "Σ",
+    "1", "٣", "²", "Ⅻ", ".", "..", "-", "'", " ", "  ", "\t", "\u3000", "\x85", "Mr", "mr.", "Dr.", "jr", "Prof.",
+])
+NORMALIZE_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.lists(NORMALIZE_PARTS, max_size=6).map("".join),
+    st.lists(st.one_of(NORMALIZE_PARTS, st.characters()), max_size=6).map("".join),
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(NORMALIZE_TEXT, st.one_of(st.just(DEFAULT_TITLES), st.sets(st.sampled_from(["ab", "x", "ǆa", "é", "bcd", "a."]))))
+def test_normalize_name_matches_the_reference(raw, titles):
+    assert normalize_name(raw) == _reference_normalize_name(raw)
+    assert normalize_name(raw, titles) == _reference_normalize_name(raw, titles)
+
+
 @settings(deadline=None)
 @given(models_and_queries())
 def test_mle_batch_matches_per_name_classify(case):
@@ -382,6 +418,12 @@ def test_mle_batch_classifies_once_per_count_pair(case):
             got = MleInferrer(model, id=id).infer_batch(queries)
             assert got == [Prediction(p.label, p.p_female, source) for p in expected]
             assert len(calls) == len({entries[name] for name in queries if name in entries})
+        # one inferrer answers later batches from its memo, which holds at most one entry per model pair
+        inferrer = MleInferrer(model)
+        calls.clear()
+        assert inferrer.infer_batch(queries) == inferrer.infer_batch(queries[::-1])[::-1] == expected
+        assert len(calls) == len({entries[name] for name in queries if name in entries})
+        assert len(inferrer._by_counts) <= len(set(entries.values()))
 
 
 # p(female) of these pairs lands exactly on 0, 0.2, 0.25, 0.5, 0.75, 0.8 and 1, the endpoints of every band below
@@ -410,4 +452,5 @@ def test_two_stage_batch_matches_the_per_name_rule(pairs, fallback_entries, band
         else:
             pred = model.classify(name)
             expected.append(Prediction(pred.label, pred.p_female, f"stage1:{pred.source}"))
-    assert TwoStageInferrer(TwoStageConfig(model, fallback, band)).infer_batch(queries) == expected
+    inferrer = TwoStageInferrer(TwoStageConfig(model, fallback, band))
+    assert inferrer.infer_batch(queries) == inferrer.infer_batch(queries) == expected
