@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import logging
 import unicodedata
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -93,9 +93,9 @@ class FrequencyTable:
     """Normalized name -> GenderCounts, plus corpus metadata.
 
     A completed table is treated as immutable and is safe for unrestricted
-    concurrent reads. Names with equal counts may share one GenderCounts
-    object (read_table_with_header shares them); GenderCounts is frozen, and
-    nothing depends on which object a name holds.
+    concurrent reads. Every builder here (ingest, merge, to_first_names, read)
+    gives names with equal counts one shared GenderCounts object; it is frozen,
+    and nothing depends on which object a name holds.
     """
 
     entries: dict[str, GenderCounts]
@@ -202,14 +202,23 @@ class CsvSchema:
 _Row = tuple[str, str, str | None] | str
 
 
+def _shared_counts(counts: dict) -> dict[str, GenderCounts]:
+    """Turn name -> [female, male, ...] into name -> GenderCounts in place, one object per distinct pair."""
+    shared: dict[tuple[int, int], GenderCounts] = {}
+    for name, slot in counts.items():
+        pair = slot[0], slot[1]
+        counts[name] = shared.get(pair) or shared.setdefault(pair, GenderCounts(*pair))
+    return counts
+
+
 def _sum_counts(triples: Iterable[tuple[str, int, int]]) -> dict[str, GenderCounts]:
     """Add up (name, female, male) triples per name."""
-    counts: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0])
+    counts: dict[str, list[int]] = {}
     for name, female, male in triples:
-        slot = counts[name]
+        slot = counts.setdefault(name, [0, 0])
         slot[0] += female
         slot[1] += male
-    return {name: GenderCounts(f, m) for name, (f, m) in counts.items()}
+    return _shared_counts(counts)
 
 
 def _accumulate(
@@ -265,7 +274,8 @@ def _accumulate(
     report.total_rows += total
     report.retained += retained
     report.unmappable_gender += unmappable
-    return {name: GenderCounts(f, m) for name, (f, m) in counts.items()}
+    slots.clear()  # the memo holds every slot; release them before the table is built
+    return _shared_counts(counts)
 
 
 def ingest_labeled_csv(
@@ -385,11 +395,17 @@ def to_first_names(table: FrequencyTable) -> FrequencyTable:
     """
     if table.name_type is NameType.FIRST:
         return table
-    firsts = [(split_full_name(full)[0], gc) for full, gc in table.entries.items()]
-    cleaned = {first: normalize_name(first) for first in dict.fromkeys(first for first, _ in firsts)}
-    kept = [(cleaned[first], gc.female, gc.male) for first, gc in firsts if not isinstance(cleaned[first], Rejection)]
-    if len(kept) < len(firsts):
-        logger.info("to_first_names: dropped %d first tokens failing cleaning", len(firsts) - len(kept))
+    tokens: dict[str, list[int]] = {}  # first token -> [female, male, number of full names]
+    for full, gc in table.entries.items():
+        slot = tokens.setdefault(split_full_name(full)[0], [0, 0, 0])
+        slot[0] += gc.female
+        slot[1] += gc.male
+        slot[2] += 1
+    cleaned = [(normalize_name(first), f, m, fulls) for first, (f, m, fulls) in tokens.items()]
+    dropped = sum(fulls for name, _, _, fulls in cleaned if isinstance(name, Rejection))
+    if dropped:
+        logger.info("to_first_names: dropped %d first tokens failing cleaning", dropped)
+    kept = ((name, f, m) for name, f, m, _ in cleaned if not isinstance(name, Rejection))
     return FrequencyTable(_sum_counts(kept), NameType.FIRST, table.source_id)
 
 
@@ -507,24 +523,37 @@ def ambiguity_histogram(table: FrequencyTable, bin_count: int) -> AmbiguityHisto
 # Names are sorted so identical tables serialize to identical bytes.
 
 
+def _breaks_line(text: str) -> bool:
+    """Whether text holds a tab or a line break, which a table file cannot carry."""
+    return "\t" in text or "\n" in text or "\r" in text
+
+
 def write_table(
     table: FrequencyTable,
     path: str | Path,
     extra_header: Mapping[str, str] | None = None,
 ) -> None:
-    path = Path(path)
+    """Stream the sorted table lines to path; a header field or name holding a
+    tab or line break raises ValueError before the file is opened."""
     fields = {"name_type": table.name_type.value, "source_id": table.source_id}
     if extra_header:
         fields.update(extra_header)
     for key, value in fields.items():
-        if "\t" in value or "\n" in value:
+        if _breaks_line(key + value):
             raise ValueError(f"header field {key}={value!r} contains tab or newline")
-    header = "# " + "\t".join(f"{k}={v}" for k, v in fields.items())
-    lines = [header]
-    for name in sorted(table.entries):
-        gc = table.entries[name]
-        lines.append(f"{name}\t{gc.female}\t{gc.male}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    names = sorted(table.entries)
+    if _breaks_line("".join(names)):
+        raise ValueError(f"name {next(filter(_breaks_line, names))!r} contains tab or newline")
+    # id(GenderCounts) -> "\t<female>\t<male>\n": one tail per count object, which the table keeps alive
+    tails: dict[int, str] = {}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# " + "\t".join(f"{k}={v}" for k, v in fields.items()) + "\n")
+        for name in names:
+            gc = table.entries[name]
+            tail = tails.get(id(gc))
+            if tail is None:
+                tail = tails[id(gc)] = f"\t{gc.female}\t{gc.male}\n"
+            fh.write(name + tail)
 
 
 def read_table_with_header(path: str | Path) -> tuple[FrequencyTable, dict[str, str]]:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -49,6 +52,11 @@ def recount_oracle(tables) -> dict[str, tuple[int, int]]:
     counted = Counter(records)
     names = {name for name, _ in counted}
     return {n: (counted[(n, "f")], counted[(n, "m")]) for n in names}
+
+
+def one_object_per_pair(table: FrequencyTable) -> bool:
+    """Whether names with equal counts share one GenderCounts object."""
+    return len(set(map(id, table.entries.values()))) == len(set(table.entries.values()))
 
 
 # --- normalize_name -----------------------------------------------------------
@@ -264,6 +272,17 @@ def test_ssa_empty_range_raises(tmp_path):
         ingest_ssa_years(tmp_path, [])
 
 
+def test_ingest_shares_one_counts_object_per_pair(tmp_path):
+    rows = ["anna,F,2", "Bo,M,1", "cara,F,2", "dana,M,1", "eve,F,2", "eve,M,3", "fay,F,2", "gil,M,3", "hal,F,2"]
+    write_csv(tmp_path / "names.csv", rows)
+    table, _ = ingest_labeled_csv(tmp_path / "names.csv", CsvSchema("name", "gender", "count"))
+    assert one_object_per_pair(table) and len(table) == 8 and len(set(table.entries.values())) == 4
+    write_ssa_year(tmp_path, 1990, rows[:5])
+    write_ssa_year(tmp_path, 1991, rows[4:])
+    table, _ = ingest_ssa_years(tmp_path, [1990, 1991])
+    assert one_object_per_pair(table) and table.entries["eve"] == GenderCounts(4, 3)
+
+
 # --- merge ----------------------------------------------------------------------
 
 
@@ -326,6 +345,17 @@ def test_to_first_names_drops_invalid_first_tokens():
     full = FrequencyTable({"a garcia": GenderCounts(1, 0), "bo diaz": GenderCounts(1, 0)}, NameType.FULL, "v")
     first = to_first_names(full)
     assert set(first.entries) == {"bo"}
+
+
+def test_to_first_names_shares_one_counts_object_per_pair():
+    full = FrequencyTable(
+        {f"{first} {last}": GenderCounts(1, 0) for first, last in product(["ana", "bea", "cleo"], ["diaz", "ruiz"])},
+        NameType.FULL,
+        "v",
+    )
+    first = to_first_names(full)
+    assert first.entries == {"ana": GenderCounts(2, 0), "bea": GenderCounts(2, 0), "cleo": GenderCounts(2, 0)}
+    assert one_object_per_pair(first)
 
 
 # --- dataset_stats ----------------------------------------------------------------
@@ -492,6 +522,38 @@ def test_table_extra_header_fields_round_trip(tmp_path):
     loaded, extras = read_table_with_header(path)
     assert extras == {"tau": "0.9"}
     assert loaded.entries == table.entries
+
+
+@pytest.mark.parametrize("name", ["ana\tbo", "ana\nbo", "ana\r", "\r\n"])
+def test_table_name_with_tab_or_line_break_is_refused_before_the_file_opens(tmp_path, name):
+    path = tmp_path / "t.tsv"
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        write_table(table_of({"ana": (1, 0), name: (1, 0), "zed": (0, 1)}), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("extra", [{"tau": "0.9\r"}, {"t\tau": "0.9"}])
+def test_table_header_field_with_tab_or_line_break_is_refused(tmp_path, extra):
+    with pytest.raises(ValueError, match="header field"):
+        write_table(table_of({"ana": (1, 0)}), tmp_path / "t.tsv", extra_header=extra)
+    assert not (tmp_path / "t.tsv").exists()
+
+
+def test_write_table_streams_lines_of_a_shared_count_table(tmp_path, rng):
+    # 50k names over seven count objects, as the table builders share them; a writer that
+    # builds every line and then the joined text allocates about 4.5 MB here
+    pool = [GenderCounts(f, m) for f, m in [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (3, 0), (0, 3)]]
+    names = ["".join(letters) for letters in product("bcdfghjklmnprstvz", "aeiou", "bcdfghjklmnprstvz", "aeiou", "lnrst", "ae")]
+    rng.shuffle(names)
+    table = FrequencyTable({name: rng.choice(pool) for name in names[:50_000]}, NameType.FIRST, "t")
+    tracemalloc.start()
+    try:
+        write_table(table, tmp_path / "t.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert read_table(tmp_path / "t.tsv") == table
 
 
 def test_table_parse_errors_carry_line_numbers(tmp_path):

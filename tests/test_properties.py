@@ -1,16 +1,19 @@
 """Property tests: ingestion and batch inference match per-row and per-name
-references; scoring, error analysis and report rendering agree."""
+references; scoring, error analysis and report rendering agree; table files,
+merges and full-to-first-name folds match the list-building code they
+replaced."""
 
 from __future__ import annotations
 
 import csv
+import logging
 import tempfile
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from namegender.analysis import assign_rate_types
@@ -27,8 +30,12 @@ from namegender.corpus import (
     TableParseError,
     ingest_labeled_csv,
     ingest_ssa_years,
+    merge_tables,
     normalize_name,
     read_table_with_header,
+    split_full_name,
+    to_first_names,
+    write_table,
 )
 from namegender.evaluation import (
     ConfusionCounts,
@@ -454,3 +461,101 @@ def test_two_stage_batch_matches_the_per_name_rule(pairs, fallback_entries, band
             expected.append(Prediction(pred.label, pred.p_female, f"stage1:{pred.source}"))
     inferrer = TwoStageInferrer(TwoStageConfig(model, fallback, band))
     assert inferrer.infer_batch(queries) == inferrer.infer_batch(queries) == expected
+
+
+# --- table builders and files --------------------------------------------------
+
+COUNT_PAIRS = st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(lambda fm: sum(fm) > 0)
+# Accepted names from arbitrary text: a vowel keeps most of it past the vowel rule.
+ACCEPTED_NAMES = st.builds(
+    lambda head, tail: normalize_name(head + "a" + tail),
+    st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=6), st.text("bé İßz ", max_size=4),
+).filter(lambda name: isinstance(name, str))
+HEADER_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), max_size=8)
+
+
+@st.composite
+def tables(draw, names=ACCEPTED_NAMES, name_type=NameType.FIRST) -> FrequencyTable:
+    """A table whose names share one GenderCounts per pair, or hold one each."""
+    entries = draw(st.dictionaries(names, COUNT_PAIRS, max_size=12))
+    pool = {pair: GenderCounts(*pair) for pair in entries.values()}
+    shared = draw(st.booleans())
+    source = draw(HEADER_TEXT)
+    return FrequencyTable({n: pool[fm] if shared else GenderCounts(*fm) for n, fm in entries.items()}, name_type, source)
+
+
+def _list_join_write_table(table, path, extra_header=None):
+    """write_table as it was when it built every line and then the joined text."""
+    path = Path(path)
+    fields = {"name_type": table.name_type.value, "source_id": table.source_id}
+    if extra_header:
+        fields.update(extra_header)
+    for key, value in fields.items():
+        if "\t" in value or "\n" in value:
+            raise ValueError(f"header field {key}={value!r} contains tab or newline")
+    header = "# " + "\t".join(f"{k}={v}" for k, v in fields.items())
+    lines = [header]
+    for name in sorted(table.entries):
+        gc = table.entries[name]
+        lines.append(f"{name}\t{gc.female}\t{gc.male}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@settings(deadline=None)
+@given(tables(), st.dictionaries(HEADER_TEXT.filter(lambda k: "=" not in k and k not in ("name_type", "source_id")),
+                                 HEADER_TEXT, max_size=3))
+def test_table_file_round_trip_is_lossless(table, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, old = Path(tmp) / "t.tsv", Path(tmp) / "old.tsv"
+        write_table(table, path, extra)
+        _list_join_write_table(table, old, extra)
+        assert path.read_bytes() == old.read_bytes()
+        assert read_table_with_header(path) == (table, extra)
+
+
+@settings(deadline=None)
+@given(st.lists(tables(st.text("abé", min_size=1, max_size=3)), min_size=1, max_size=4), st.data())
+def test_merge_is_order_independent(parts, data):
+    merged = merge_tables(parts).entries
+    for permuted in (data.draw(st.permutations(parts)), parts[::-1]):
+        assert merge_tables(permuted).entries == merged
+    assert len(set(map(id, merged.values()))) == len(set(merged.values()))
+
+
+def _old_sum_counts(triples):
+    counts = defaultdict(lambda: [0, 0])
+    for name, female, male in triples:
+        slot = counts[name]
+        slot[0] += female
+        slot[1] += male
+    return {name: GenderCounts(f, m) for name, (f, m) in counts.items()}
+
+
+def _list_building_to_first_names(table):
+    """to_first_names as it was when it built three lists with one item per full name."""
+    if table.name_type is NameType.FIRST:
+        return table
+    firsts = [(split_full_name(full)[0], gc) for full, gc in table.entries.items()]
+    cleaned = {first: normalize_name(first) for first in dict.fromkeys(first for first, _ in firsts)}
+    kept = [(cleaned[first], gc.female, gc.male) for first, gc in firsts if not isinstance(cleaned[first], Rejection)]
+    if len(kept) < len(firsts):
+        logging.getLogger("namegender.corpus").info(
+            "to_first_names: dropped %d first tokens failing cleaning", len(firsts) - len(kept))
+    return FrequencyTable(_old_sum_counts(kept), NameType.FIRST, table.source_id)
+
+
+# Full names whose first token may be a title, one letter, a digit or a case variant of another.
+FULL_NAMES = st.lists(st.sampled_from(["Ana", "ana", "ANA", "bo", "a", "Mr", "dr.", "x2", "zoë", "xyz", "li"]),
+                      min_size=1, max_size=3).map(" ".join)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tables(st.one_of(FULL_NAMES, st.text("ab. Z", max_size=5).filter(lambda full: full.split())), NameType.FULL))
+def test_to_first_names_matches_the_list_building_version(caplog, full):
+    def run(fold):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="namegender.corpus"):
+            table = fold(full)
+        return list(table.entries.items()), table.name_type, table.source_id, caplog.messages
+
+    assert run(to_first_names) == run(_list_building_to_first_names)
