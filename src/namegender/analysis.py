@@ -9,6 +9,7 @@ category (FF + FM) and reports distinct-gram set sizes.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -47,13 +48,8 @@ def length_histograms(
         if not lengths:
             logger.info("length_histograms: no %s names, omitted", rate.value)
             continue
-        total = len(lengths)
-        hist: dict[int, float] = {}
-        for length in lengths:
-            hist[length] = hist.get(length, 0.0) + 1.0
-        histograms[rate] = {
-            length: 100.0 * count / total for length, count in sorted(hist.items())
-        }
+        counts = sorted(Counter(lengths).items())
+        histograms[rate] = {length: 100.0 * count / len(lengths) for length, count in counts}
     return histograms
 
 

@@ -16,7 +16,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -44,11 +44,20 @@ from .inferrers import (
 
 logger = logging.getLogger("namegender")
 
+_FORMATS = ("tsv", "structured")
+
+
+def _format(text: str) -> str:
+    if text not in _FORMATS:
+        raise ValueError(f"expected one of {', '.join(_FORMATS)}, got {text!r}")
+    return text
+
+
 # option -> (parser for --config values, built-in default)
 _CONFIG_KEYS = {
     "seed": (int, None),
     "out_dir": (str, "."),
-    "format": (str, "tsv"),
+    "format": (_format, "tsv"),
     "tau": (float, mle.DEFAULT_TAU),
     "test_fraction": (float, 0.1),
     "bins": (int, None),
@@ -159,10 +168,8 @@ def build_inferrer(spec: str, config_paths: list[Path] | None = None) -> Inferre
         return MockInferrer.from_json(arg, id=id)
     if kind == "twostage":
         return _build_twostage(arg, id, config_paths)
-    adapter = HttpAdapter(parse_adapter_config(arg))
-    if id is not None:
-        adapter.id = id
-    return adapter
+    config = parse_adapter_config(arg)
+    return HttpAdapter(config if id is None else replace(config, id=id))
 
 
 # --- commands -----------------------------------------------------------------
@@ -221,13 +228,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     corpus.write_table(table, table_path)
     _write_ingest_report(report, out_dir / f"{table.source_id}.ingest-report.tsv")
     _write_manifest(args, out_dir, "ingest", inputs=inputs)
-    logger.info(
-        "ingested %s: %d unique names, %d records retained, %d dropped",
-        table.source_id,
-        len(table),
-        report.retained,
-        report.dropped_total(),
-    )
+    logger.info("ingested %s: %d unique names, %d records retained, %d dropped",
+                table.source_id, len(table), report.retained, report.total_rows - report.retained)
     return 0
 
 
@@ -446,14 +448,14 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _tie_notes(inferrers: Sequence[Inferrer]) -> list[str]:
-    notes = []
-    for inferrer in inferrers:
-        candidates = [inferrer, getattr(getattr(inferrer, "config", None), "fallback", None)]
-        for obj in candidates:
-            ties = getattr(obj, "tie_count", 0)
-            if obj is not None and ties:
-                notes.append(f"{inferrer.id}: vote ties = {ties}")
-    return notes
+    """A note per two-stage inferrer whose voting fallback counted ties (specs build voting only there)."""
+    return [
+        f"{inferrer.id}: vote ties = {inferrer.config.fallback.tie_count}"
+        for inferrer in inferrers
+        if isinstance(inferrer, TwoStageInferrer)
+        and isinstance(inferrer.config.fallback, VotingInferrer)
+        and inferrer.config.fallback.tie_count
+    ]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -509,7 +511,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="key=value file of default option values")
     parser.add_argument("--out-dir", default=None, help="directory for output artifacts")
     parser.add_argument(
-        "--format", choices=("tsv", "structured"), default=None, help="output format"
+        "--format", choices=_FORMATS, default=None, help="output format"
     )
 
 
@@ -589,21 +591,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from --config values, then built-in defaults."""
-    config: dict[str, str] = {}
+    """Fill unset options from --config values, then built-in defaults.
+
+    Every --config value is checked as its flag's would be, used or not."""
+    config: dict[str, object] = {}
     if args.config:
-        raw = parse_kv_file(args.config)
-        for key, value in raw.items():
+        for key, value in parse_kv_file(args.config).items():
             attr = key.replace("-", "_")
             if attr not in _CONFIG_KEYS:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
-            config[attr] = value
-    for attr, (parse, builtin) in _CONFIG_KEYS.items():
-        if getattr(args, attr, None) is None:
-            if attr in config:
-                setattr(args, attr, parse(config[attr]))
-            elif hasattr(args, attr):
-                setattr(args, attr, builtin)
+            try:
+                config[attr] = _CONFIG_KEYS[attr][0](value)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: config key {key!r}: {exc}") from None
+    for attr, (_, builtin) in _CONFIG_KEYS.items():
+        if hasattr(args, attr) and getattr(args, attr) is None:
+            setattr(args, attr, config.get(attr, builtin))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -11,11 +11,13 @@ Cleaning rules applied by normalize_name, in order:
      then the name is lower-cased;
   2. names containing digits are rejected (InvalidCharacters);
   3. names with fewer than two letters are rejected (TooShort);
-  4. personal titles are rejected (IsTitle; checked before the vowel rule
-     because common titles such as "mr" contain no vowel);
+  4. personal titles (DEFAULT_TITLES) are rejected (IsTitle; checked before
+     the vowel rule because common titles such as "mr" contain no vowel);
   5. names without a vowel are rejected (NoVowel); the vowel check runs on
      a diacritic-folded copy so that accented vowels count, but the name
      itself keeps its non-ASCII characters.
+The titles and the gender tags ingestion accepts (DEFAULT_GENDER_ALIASES) are
+fixed, so a model's queries are cleaned exactly as its table was.
 """
 
 from __future__ import annotations
@@ -105,9 +107,6 @@ class FrequencyTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
 
 @dataclass
 class IngestReport:
@@ -120,13 +119,6 @@ class IngestReport:
     unmappable_gender: int = 0
     malformed: list[tuple[int, str]] = field(default_factory=list)
     missing_years: list[int] = field(default_factory=list)
-
-    def dropped_total(self) -> int:
-        return (
-            sum(self.rejections.values())
-            + self.unmappable_gender
-            + len(self.malformed)
-        )
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,7 @@ class AmbiguityHistogram:
     count: int
 
 
-def normalize_name(raw: str, titles: frozenset[str] | set[str] = DEFAULT_TITLES) -> str | Rejection:
+def normalize_name(raw: str) -> str | Rejection:
     """Clean one raw name, returning the normalized form or a Rejection.
 
     Idempotent on accepted names: normalize_name(x) == x for any x it
@@ -167,7 +159,7 @@ def normalize_name(raw: str, titles: frozenset[str] | set[str] = DEFAULT_TITLES)
         letter_count = sum(map(str.isalpha, name))
     if letter_count < 2:
         return Rejection.TOO_SHORT
-    if name.rstrip(".") in titles:
+    if name.rstrip(".") in DEFAULT_TITLES:
         return Rejection.IS_TITLE
     # NFKD keeps every ASCII vowel, so only a name without one needs folding.
     if VOWELS.isdisjoint(name) and VOWELS.isdisjoint(unicodedata.normalize("NFKD", name)):
@@ -224,8 +216,6 @@ def _sum_counts(triples: Iterable[tuple[str, int, int]]) -> dict[str, GenderCoun
 def _accumulate(
     rows: Iterable[tuple[int, str, _Row]],
     report: IngestReport,
-    aliases: Mapping[str, str],
-    titles: frozenset[str] | set[str],
 ) -> dict[str, GenderCounts]:
     """Sum per-name counts of (line number, message prefix, row) items.
 
@@ -257,14 +247,14 @@ def _accumulate(
                 continue
         side = sides.get(tag, -1)
         if side == -1:
-            gender = aliases.get(tag.strip().lower())
+            gender = DEFAULT_GENDER_ALIASES.get(tag.strip().lower())
             side = sides[tag] = None if gender is None else 0 if gender == "female" else 1
         if side is None:
             unmappable += 1
             continue
         slot = slots.get(raw_name)
         if slot is None:
-            name = normalize_name(raw_name, titles)
+            name = normalize_name(raw_name)
             slot = slots[raw_name] = name if isinstance(name, Rejection) else counts.setdefault(name, [0, 0])
         if isinstance(slot, Rejection):
             report.rejections[slot] += 1
@@ -284,8 +274,6 @@ def ingest_labeled_csv(
     *,
     name_type: NameType = NameType.FIRST,
     source_id: str | None = None,
-    aliases: Mapping[str, str] = DEFAULT_GENDER_ALIASES,
-    titles: frozenset[str] | set[str] = DEFAULT_TITLES,
 ) -> tuple[FrequencyTable, IngestReport]:
     """Build a frequency table from a labeled CSV file.
 
@@ -322,7 +310,7 @@ def ingest_labeled_csv(
                 raw_count = None if count_at is None else row[count_at] if count_at < len(row) else ""
                 yield reader.line_num, "", (row[name_at], row[gender_at], raw_count)
 
-        entries = _accumulate(rows(), report, aliases, titles)
+        entries = _accumulate(rows(), report)
 
     if not entries:
         detail = ""
@@ -338,8 +326,6 @@ def ingest_ssa_years(
     years: Sequence[int],
     *,
     source_id: str | None = None,
-    aliases: Mapping[str, str] = DEFAULT_GENDER_ALIASES,
-    titles: frozenset[str] | set[str] = DEFAULT_TITLES,
 ) -> tuple[FrequencyTable, IngestReport]:
     """Sum per-name counts over yobYYYY.txt files for the given years.
 
@@ -367,7 +353,7 @@ def ingest_ssa_years(
                     if parts != [""]:
                         yield line_no, where, tuple(parts) if len(parts) == 3 else "expected 3 fields"
 
-    entries = _accumulate(rows(), report, aliases, titles)
+    entries = _accumulate(rows(), report)
     if not entries:
         raise EmptyCorpusError(f"{directory}: no records retained for years {years[0]}-{years[-1]}")
     return FrequencyTable(entries, NameType.FIRST, source), report
@@ -533,11 +519,14 @@ def write_table(
     path: str | Path,
     extra_header: Mapping[str, str] | None = None,
 ) -> None:
-    """Stream the sorted table lines to path; a header field or name holding a
-    tab or line break raises ValueError before the file is opened."""
+    """Stream the sorted table lines to path. ValueError, raised before the file
+    is opened: an extra header key holding "=" or named name_type or source_id,
+    or a header field or name holding a tab or line break."""
     fields = {"name_type": table.name_type.value, "source_id": table.source_id}
-    if extra_header:
-        fields.update(extra_header)
+    for key in extra_header or ():
+        if "=" in key or key in fields:
+            raise ValueError(f"header field {key!r}: key contains '=' or is name_type or source_id")
+    fields.update(extra_header or {})
     for key, value in fields.items():
         if _breaks_line(key + value):
             raise ValueError(f"header field {key}={value!r} contains tab or newline")

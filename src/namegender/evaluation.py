@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import FrequencyTable, TableParseError
+from .corpus import FrequencyTable, TableParseError, _breaks_line
 from .inferrers import Inferrer
 from .mle import GenderLabel, Prediction
 
@@ -236,11 +236,7 @@ class MetricsReport:
     notes: list[str] = field(default_factory=list)
 
     def inferrer_ids(self) -> list[str]:
-        seen: list[str] = []
-        for row in self.rows:
-            if row.inferrer_id not in seen:
-                seen.append(row.inferrer_id)
-        return seen
+        return list(dict.fromkeys(row.inferrer_id for row in self.rows))
 
     def aggregate_for(self, inferrer_id: str) -> tuple[MetricValues, int]:
         """Aggregate metrics and the total size they cover."""
@@ -300,9 +296,17 @@ def evaluate_run(
 
     skip maps an inferrer id to dataset ids it must not be scored on
     (typically its own training data); those cells are NA. Rows are ordered
-    by (inferrer id, dataset id).
+    by (inferrer id, dataset id). ValueError: a duplicate inferrer or test-set
+    id, or a skip cell naming an inferrer or dataset not in the run.
     """
     skip = skip or {}
+    inferrer_ids, dataset_ids = [inf.id for inf in inferrers], [ts.id for ts in testsets]
+    for kind, ids in (("inferrer", inferrer_ids), ("test-set", dataset_ids)):
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"duplicate {kind} id {next(i for i in ids if ids.count(i) > 1)!r}")
+    bad = sorted(f"{i}={d}" for i, ds in skip.items() for d in ds if i not in inferrer_ids or d not in dataset_ids)
+    if bad:
+        raise ValueError(f"NA cell {bad[0]} names an inferrer or dataset not in the run")
     rows = []
     for inferrer in sorted(inferrers, key=lambda inf: inf.id):
         excluded = skip.get(inferrer.id, set())
@@ -323,6 +327,11 @@ def evaluate_run(
 
 
 def write_testset(testset: LabeledTestSet, path: str | Path) -> None:
+    """Write the test set; an id or name holding a tab or line break raises
+    ValueError before the file is created."""
+    bad = next(filter(_breaks_line, (testset.id, *(name for name, _ in testset.names))), None)
+    if bad is not None:
+        raise ValueError(f"test-set id or name {bad!r} contains tab or newline")
     lines = [f"# testset={testset.id}"]
     for name, observed in testset.names:
         lines.append(f"{name}\t{observed.value}")

@@ -113,10 +113,10 @@ class MleInferrer(Inferrer):
 
     A known name's answer depends only on its counts and tau, so the inferrer
     keeps, for its whole life, one Prediction per distinct GenderCounts value
-    it has answered (a value key: in-process tables share no objects) and one
-    unknown for every absent name. The model is immutable, so this memo holds
-    at most one entry per distinct count pair of the model, however many
-    names are queried.
+    it has answered and one unknown for every absent name, and answers each
+    line from them. The model is immutable, so this memo holds at most one
+    entry per distinct count pair of the model, however many names are
+    queried.
     """
 
     def __init__(self, model: MleModel, id: str | None = None) -> None:
@@ -126,19 +126,18 @@ class MleInferrer(Inferrer):
         self._by_counts: dict[GenderCounts, Prediction] = {}
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
-        answers = dict.fromkeys(names, self._unknown)
-        entries, by_counts = self.model.table.entries, self._by_counts
-        for name in answers:
+        entries, by_counts, unknown = self.model.table.entries, self._by_counts, self._unknown
+        out = []
+        for name in names:
             counts = entries.get(name)
-            if counts is not None:
-                pred = by_counts.get(counts)
-                if pred is None:
-                    pred = self.model.classify(name)
-                    if pred.source != self.id:
-                        pred = Prediction(pred.label, pred.p_female, self.id)
-                    by_counts[counts] = pred
-                answers[name] = pred
-        return [answers[name] for name in names]
+            pred = unknown if counts is None else by_counts.get(counts)
+            if pred is None:
+                pred = self.model.classify(name)
+                if pred.source != self.id:
+                    pred = Prediction(pred.label, pred.p_female, self.id)
+                by_counts[counts] = pred
+            out.append(pred)
+        return out
 
 
 class RateLimiter:

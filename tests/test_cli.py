@@ -584,6 +584,34 @@ def test_eval_na_flag_marks_cells(tmp_path):
     assert lines[1] == "m\tdemo\t1\tNA\tNA\tNA\tNA\tNA"
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--inferrer", "m=mock:MOCK"], "duplicate inferrer id 'm'"),
+    (["--test", "TEST"], "duplicate test-set id 'demo'"),
+    (["--na", "typo=demo"], "NA cell typo=demo names an inferrer or dataset not in the run"),
+    (["--na", "m=typo"], "NA cell m=typo names an inferrer or dataset not in the run"),
+])
+def test_eval_refuses_duplicate_ids_and_unknown_na_cells(tmp_path, capsys, extra, message):
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female"), ("bo", "male")])
+    mock = tmp_path / "mock.json"
+    write_mock_file(mock, {"ana": {"label": "female", "p_female": 1.0}})
+    extra = [arg.replace("MOCK", str(mock)).replace("TEST", str(testset)) for arg in extra]
+    capsys.readouterr()
+    assert run("eval", "--test", str(testset), "--inferrer", f"m=mock:{mock}", *extra,
+               "--out-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"namegender: error: {message}\n"
+    assert not (tmp_path / "out" / "report.tsv").exists()
+
+
+def test_http_spec_id_names_the_adapter_its_config_and_its_store(tmp_path, monkeypatch):
+    conf = write_http_conf(tmp_path)
+    monkeypatch.setattr("requests.Session", lambda: FakeSession(http_body))
+    adapter = cli.build_inferrer(f"x=http:{conf}")
+    assert adapter.id == adapter.config.id == "x"
+    assert adapter.infer("ana").source == "x"
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["x.sqlite"]
+
+
 def test_eval_structured_format(tmp_path):
     testset = tmp_path / "demo.test.tsv"
     write_testset_file(testset, [("ana", "female")])
@@ -706,6 +734,19 @@ def test_config_rejects_unknown_keys(corpus_csv, tmp_path, capsys):
     assert run("split", str(table_path), "--config", str(config), "--seed", "1",
                "--out-dir", str(out)) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, key", [("format = xml", "format"), ("seed = x", "seed"), ("test-fraction = y", "test-fraction")])
+def test_config_values_are_checked_as_flags_are(corpus_csv, tmp_path, capsys, line, key):
+    out = tmp_path / "out"
+    table_path = ingest_tiny(corpus_csv, out)
+    config = tmp_path / "defaults.conf"
+    config.write_text(line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("split", str(table_path), "--config", str(config), "--seed", "1", "--out-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"namegender: error: {config}: config key {key!r}: ") and err.count("\n") == 1
+    assert not (out / "split.manifest.json").exists()
 
 
 def test_unknown_inferrer_kind_rejected(tmp_path, capsys):

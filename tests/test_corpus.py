@@ -532,7 +532,9 @@ def test_table_name_with_tab_or_line_break_is_refused_before_the_file_opens(tmp_
     assert not path.exists()
 
 
-@pytest.mark.parametrize("extra", [{"tau": "0.9\r"}, {"t\tau": "0.9"}])
+@pytest.mark.parametrize("extra", [
+    {"tau": "0.9\r"}, {"t\tau": "0.9"}, {"a=b": "c"}, {"source_id": "other"}, {"name_type": "full"},
+])
 def test_table_header_field_with_tab_or_line_break_is_refused(tmp_path, extra):
     with pytest.raises(ValueError, match="header field"):
         write_table(table_of({"ana": (1, 0)}), tmp_path / "t.tsv", extra_header=extra)

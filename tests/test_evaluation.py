@@ -373,6 +373,19 @@ def test_rows_ordered_by_inferrer_then_dataset():
     ]
 
 
+@pytest.mark.parametrize("inferrer_ids, set_ids, skip, message", [
+    (("m", "m"), ("a",), {}, "duplicate inferrer id 'm'"),
+    (("m",), ("a", "a"), {}, "duplicate test-set id 'a'"),
+    (("m",), ("a",), {"typo": {"a"}}, "NA cell typo=a names"),
+    (("m",), ("a",), {"m": {"a", "typo"}}, "NA cell m=typo names"),
+])
+def test_evaluate_run_refuses_ambiguous_or_unknown_ids(inferrer_ids, set_ids, skip, message):
+    sets = [LabeledTestSet(i, (("ana", F),)) for i in set_ids]
+    mocks = [MockInferrer(i, {"ana": (F, 1.0)}) for i in inferrer_ids]
+    with pytest.raises(ValueError, match=message):
+        evaluate_run(sets, mocks, skip)
+
+
 # --- test-set serialization ---------------------------------------------------------
 
 
@@ -388,3 +401,11 @@ def test_testset_rejects_bad_labels():
         LabeledTestSet("t", (("ana", GenderLabel.AMBIGUOUS),))
     with pytest.raises(ValueError):
         LabeledTestSet("t", (("ana", F), ("ana", M)))
+
+
+@pytest.mark.parametrize("set_id, name", [("demo", "a\tb"), ("demo", "a\nb"), ("demo", "ab\r"), ("de\tmo", "ana")])
+def test_write_testset_refuses_tab_or_line_break_before_the_file_is_created(tmp_path, set_id, name):
+    path = tmp_path / "demo.test.tsv"
+    with pytest.raises(ValueError, match="contains tab or newline"):
+        write_testset(LabeledTestSet(set_id, (("bob", M), (name, F))), path)
+    assert not path.exists()

@@ -68,10 +68,9 @@ ROWS = st.one_of(
     st.tuples(RAW_NAMES, TAGS, COUNTS, COUNTS),
     st.just(()),
 )
-TITLES = st.one_of(st.none(), st.sets(st.sampled_from(["mr", "dr", "anna", "jo", "mary ann", "li"])))
 
 
-def _reference_ingest(rows, titles, source):
+def _reference_ingest(rows, source):
     """Per-row accumulation that calls normalize_name for every row."""
     report = IngestReport(source)
     counts: dict[str, tuple[int, int]] = {}
@@ -93,7 +92,7 @@ def _reference_ingest(rows, titles, source):
         if gender is None:
             report.unmappable_gender += 1
             continue
-        name = normalize_name(raw_name, DEFAULT_TITLES if titles is None else titles)
+        name = normalize_name(raw_name)
         if isinstance(name, Rejection):
             report.rejections[name] += 1
             continue
@@ -103,20 +102,19 @@ def _reference_ingest(rows, titles, source):
     return {name: GenderCounts(*pair) for name, pair in counts.items()}, report
 
 
-def _check_ingest(ingest, titles, expected_counts, expected_report):
-    kwargs = {} if titles is None else {"titles": titles}
+def _check_ingest(ingest, expected_counts, expected_report):
     if not expected_counts:
         with pytest.raises(EmptyCorpusError):
-            ingest(**kwargs)
+            ingest()
         return
-    table, report = ingest(**kwargs)
+    table, report = ingest()
     assert table.entries == expected_counts
     assert report == expected_report
 
 
 @settings(deadline=None)
-@given(st.lists(st.lists(ROWS, max_size=30), min_size=1, max_size=3), TITLES)
-def test_ssa_ingest_matches_per_row_reference(files, titles):
+@given(st.lists(st.lists(ROWS, max_size=30), min_size=1, max_size=3))
+def test_ssa_ingest_matches_per_row_reference(files):
     years = range(2000, 2001 + len(files))  # 2001 has no file
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -127,14 +125,14 @@ def test_ssa_ingest_matches_per_row_reference(files, titles):
                 parts = line.strip().split(",")
                 if parts != [""]:
                     rows.append((line_no, f"yob{year}.txt: ", tuple(parts) if len(parts) == 3 else "expected 3 fields"))
-        counts, report = _reference_ingest(rows, titles, "ssa2000-" + str(years[-1]))
+        counts, report = _reference_ingest(rows, "ssa2000-" + str(years[-1]))
         report.missing_years.append(2001)
-        _check_ingest(lambda **kw: ingest_ssa_years(tmp, years, **kw), titles, counts, report)
+        _check_ingest(lambda: ingest_ssa_years(tmp, years), counts, report)
 
 
 @settings(deadline=None)
-@given(st.lists(ROWS, max_size=60), st.booleans(), TITLES)
-def test_csv_ingest_matches_per_row_reference(lines, with_count, titles):
+@given(st.lists(ROWS, max_size=60), st.booleans())
+def test_csv_ingest_matches_per_row_reference(lines, with_count):
     rows = []
     for line_no, fields in enumerate(lines, start=2):
         if not fields or (len(fields) == 1 and not fields[0].strip()):
@@ -144,7 +142,7 @@ def test_csv_ingest_matches_per_row_reference(lines, with_count, titles):
         else:
             raw_count = None if not with_count else fields[2] if len(fields) > 2 else ""
             rows.append((line_no, "", (fields[0], fields[1], raw_count)))
-    counts, report = _reference_ingest(rows, titles, "t")
+    counts, report = _reference_ingest(rows, "t")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
@@ -156,7 +154,7 @@ def test_csv_ingest_matches_per_row_reference(lines, with_count, titles):
                 else:
                     fh.write("\n")
         schema = CsvSchema("name", "gender", "count" if with_count else None)
-        _check_ingest(lambda **kw: ingest_labeled_csv(path, schema, **kw), titles, counts, report)
+        _check_ingest(lambda: ingest_labeled_csv(path, schema), counts, report)
 
 
 @given(st.lists(st.integers(1, 10_000), min_size=1, max_size=5), st.floats(-100.0, 100.0))
@@ -250,14 +248,14 @@ def models_and_queries(draw) -> tuple[dict[str, GenderCounts], float, list[str]]
     return entries, tau, queries
 
 
-def _reference_normalize_name(raw, titles=DEFAULT_TITLES):
+def _reference_normalize_name(raw):
     """normalize_name as it was before its fast paths, kept verbatim."""
     name = " ".join(raw.split()).lower()
     if any(ch.isdigit() for ch in name):
         return Rejection.INVALID_CHARACTERS
     if sum(1 for ch in name if ch.isalpha()) < 2:
         return Rejection.TOO_SHORT
-    if name.rstrip(".") in titles:
+    if name.rstrip(".") in DEFAULT_TITLES:
         return Rejection.IS_TITLE
     folded = unicodedata.normalize("NFKD", name)
     if not any(ch in {"a", "e", "i", "o", "u"} for ch in folded):
@@ -279,10 +277,9 @@ NORMALIZE_TEXT = st.one_of(
 
 
 @settings(deadline=None, max_examples=500)
-@given(NORMALIZE_TEXT, st.one_of(st.just(DEFAULT_TITLES), st.sets(st.sampled_from(["ab", "x", "ǆa", "é", "bcd", "a."]))))
-def test_normalize_name_matches_the_reference(raw, titles):
+@given(NORMALIZE_TEXT)
+def test_normalize_name_matches_the_reference(raw):
     assert normalize_name(raw) == _reference_normalize_name(raw)
-    assert normalize_name(raw, titles) == _reference_normalize_name(raw, titles)
 
 
 @settings(deadline=None)
