@@ -62,18 +62,17 @@ def non_english_distribution(
     rated: Iterable[tuple[str, RateType]]
 ) -> dict[RateType, float]:
     """Per rate type: percentage of names containing non a-z characters."""
-    totals: dict[RateType, int] = {}
-    hits: dict[RateType, int] = {}
+    totals: Counter[RateType] = Counter()
+    hits: Counter[RateType] = Counter()
     for name, rate in rated:
-        totals[rate] = totals.get(rate, 0) + 1
-        if is_non_english(name):
-            hits[rate] = hits.get(rate, 0) + 1
+        totals[rate] += 1
+        hits[rate] += is_non_english(name)
     out = {}
     for rate in RateType:
         if rate not in totals:
             logger.info("non_english_distribution: no %s names, omitted", rate.value)
             continue
-        out[rate] = 100.0 * hits.get(rate, 0) / totals[rate]
+        out[rate] = 100.0 * hits[rate] / totals[rate]
     return out
 
 
@@ -140,9 +139,7 @@ def write_non_english_export(
     rated: Sequence[tuple[str, RateType]], path: str | Path
 ) -> None:
     distribution = non_english_distribution(rated)
-    counts: dict[RateType, int] = {}
-    for _, rate in rated:
-        counts[rate] = counts.get(rate, 0) + 1
+    counts = Counter(rate for _, rate in rated)
     lines = ["rate_type\tnames\tnon_english_percentage"]
     for rate in RateType:
         if rate in distribution:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -64,21 +64,6 @@ _CONFIG_KEYS = {
 }
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written alongside every output artifact."""
-
-    command: list[str]
-    seed: int | None
-    tool_version: str
-    timestamp: str
-    input_digests: dict[str, str] = field(default_factory=dict)
-    config_digests: dict[str, str] = field(default_factory=dict)
-
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -94,15 +79,16 @@ def _write_manifest(
     inputs: Sequence[str | Path] = (),
     configs: Sequence[str | Path] = (),
 ) -> None:
-    manifest = RunManifest(
-        command=list(args._argv),
-        seed=args.seed,
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        input_digests={str(p): _sha256(p) for p in inputs},
-        config_digests={str(p): _sha256(p) for p in configs},
-    )
-    manifest.write(out_dir / f"{name}.manifest.json")
+    manifest = {
+        "command": list(args._argv),
+        "seed": args.seed,
+        "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "input_digests": {str(p): _sha256(p) for p in inputs},
+        "config_digests": {str(p): _sha256(p) for p in configs},
+    }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (out_dir / f"{name}.manifest.json").write_text(text, encoding="utf-8")
 
 
 # --- inferrer specs -----------------------------------------------------------
@@ -114,7 +100,15 @@ def _write_manifest(
 #   twostage:CONFIG_FILE  two-stage ensemble (see _build_twostage)
 
 
-def _build_twostage(path: str, id: str | None, config_paths: list[Path]) -> Inferrer:
+def _model(path: str | Path, models: dict[Path, mle.MleModel]) -> mle.MleModel:
+    """The model in the file at path, read once per command: models maps each resolved path to its model."""
+    key = Path(path).resolve()
+    if key not in models:
+        models[key] = mle.load_model(path)
+    return models[key]
+
+
+def _build_twostage(path: str, id: str | None, config_paths: list[Path], models: dict[Path, mle.MleModel]) -> Inferrer:
     """Two-stage config file keys:
 
     model = MODEL_FILE            stage-1 frequency model
@@ -129,30 +123,34 @@ def _build_twostage(path: str, id: str | None, config_paths: list[Path]) -> Infe
     base = Path(path).parent
     model_path = (base / fields["model"]).resolve() if not Path(fields["model"]).is_absolute() else Path(fields["model"])
     config_paths.append(Path(model_path))
-    model = mle.load_model(model_path)
-    band = DEFAULT_DEFER_BAND
-    if "band" in fields:
-        lo, hi = (float(x) for x in fields["band"].split(","))
-        band = (lo, hi)
+    model = _model(model_path, models)
     if "voters" in fields:
         voters = tuple(
-            build_inferrer(spec.strip(), config_paths) for spec in fields["voters"].split(";")
+            build_inferrer(spec.strip(), config_paths, models) for spec in fields["voters"].split(";")
         )
         if len(voters) != 3:
             raise ValueError(f"{path}: voters must list exactly 3 specs")
         fallback: Inferrer = VotingInferrer(VotingConfig(voters))  # type: ignore[arg-type]
     elif "fallback" in fields:
-        fallback = build_inferrer(fields["fallback"], config_paths)
+        fallback = build_inferrer(fields["fallback"], config_paths, models)
     else:
         raise ValueError(f"{path}: two-stage config requires fallback = or voters =")
-    spec_id = id or fields.get("id")
-    return TwoStageInferrer(TwoStageConfig(model, fallback, band), id=spec_id)
+    band = fields.get("band")
+    try:
+        lo, hi = DEFAULT_DEFER_BAND if band is None else (float(x) for x in band.split(","))
+        config = TwoStageConfig(model, fallback, (lo, hi))
+    except ValueError as exc:
+        raise ValueError(f"{path}: band = {band}: {exc}") from None
+    return TwoStageInferrer(config, id=id or fields.get("id"))
 
 
-def build_inferrer(spec: str, config_paths: list[Path] | None = None) -> Inferrer:
-    """Construct an inferrer from a [id=]kind:arg spec string."""
-    if config_paths is None:
-        config_paths = []
+def build_inferrer(
+    spec: str, config_paths: list[Path] | None = None, models: dict[Path, mle.MleModel] | None = None
+) -> Inferrer:
+    """Construct an inferrer from a [id=]kind:arg spec string; specs built with one
+    models map (resolved path -> model) share one model per file, so a command passes all its specs one map."""
+    config_paths = [] if config_paths is None else config_paths
+    models = {} if models is None else models
     id = None
     if "=" in spec.split(":", 1)[0]:
         id, spec = spec.split("=", 1)
@@ -163,11 +161,11 @@ def build_inferrer(spec: str, config_paths: list[Path] | None = None) -> Inferre
         raise ValueError(f"unknown inferrer kind {kind!r}")
     config_paths.append(Path(arg))
     if kind == "mle":
-        return MleInferrer(mle.load_model(arg), id=id)
+        return MleInferrer(_model(arg, models), id=id)
     if kind == "mock":
         return MockInferrer.from_json(arg, id=id)
     if kind == "twostage":
-        return _build_twostage(arg, id, config_paths)
+        return _build_twostage(arg, id, config_paths, models)
     config = parse_adapter_config(arg)
     return HttpAdapter(config if id is None else replace(config, id=id))
 
@@ -462,7 +460,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args.out_dir)
     testsets = [evaluation.read_testset(p) for p in args.test]
     config_paths: list[Path] = []
-    inferrers = [build_inferrer(spec, config_paths) for spec in args.inferrer]
+    models: dict[Path, mle.MleModel] = {}
+    inferrers = [build_inferrer(spec, config_paths, models) for spec in args.inferrer]
     skip: dict[str, set[str]] = {}
     for item in args.na or []:
         inferrer_id, sep, dataset_id = item.partition("=")

@@ -142,13 +142,20 @@ class AmbiguityHistogram:
     count: int
 
 
+def _spelling(raw: str) -> str:
+    """Cleaning rule 1: whitespace collapsed, then lower-cased. Every check
+    normalize_name makes depends only on this spelling."""
+    # a name of letters only holds no whitespace
+    return raw.lower() if raw.isalpha() else " ".join(raw.split()).lower()
+
+
 def normalize_name(raw: str) -> str | Rejection:
     """Clean one raw name, returning the normalized form or a Rejection.
 
     Idempotent on accepted names: normalize_name(x) == x for any x it
     returns.
     """
-    name = " ".join(raw.split()).lower()
+    name = _spelling(raw)
     letters = name.replace(" ", "")
     # No code point is both a letter and a digit, so an all-letter name has no digit.
     if letters.isalpha():
@@ -195,7 +202,7 @@ _Row = tuple[str, str, str | None] | str
 
 
 def _shared_counts(counts: dict) -> dict[str, GenderCounts]:
-    """Turn name -> [female, male, ...] into name -> GenderCounts in place, one object per distinct pair."""
+    """Turn name -> (female, male, ...) into name -> GenderCounts in place, one object per distinct pair."""
     shared: dict[tuple[int, int], GenderCounts] = {}
     for name, slot in counts.items():
         pair = slot[0], slot[1]
@@ -203,14 +210,19 @@ def _shared_counts(counts: dict) -> dict[str, GenderCounts]:
     return counts
 
 
-def _sum_counts(triples: Iterable[tuple[str, int, int]]) -> dict[str, GenderCounts]:
-    """Add up (name, female, male) triples per name."""
-    counts: dict[str, list[int]] = {}
-    for name, female, male in triples:
-        slot = counts.setdefault(name, [0, 0])
-        slot[0] += female
-        slot[1] += male
-    return _shared_counts(counts)
+def _check_spellings(sums: dict[str, tuple[int, int, int]], rejections: Counter[Rejection]) -> dict[str, GenderCounts]:
+    """Check each spelling of sums (spelling -> (female, male, rows)) once, in place: a rejected
+    spelling is deleted and its rows are added to rejections under its reason; the rest keep
+    their order and get shared GenderCounts."""
+    rejected = []
+    for spelling, slot in sums.items():
+        name = normalize_name(spelling)
+        if isinstance(name, Rejection):
+            rejections[name] += slot[2]
+            rejected.append(spelling)
+    for spelling in rejected:
+        del sums[spelling]
+    return _shared_counts(sums)
 
 
 def _accumulate(
@@ -220,15 +232,15 @@ def _accumulate(
     """Sum per-name counts of (line number, message prefix, row) items.
 
     Every row is counted in report, and every dropped row is tallied there
-    by reason; the prefix starts the messages of malformed rows. Each distinct
-    raw name is normalized, and each distinct gender tag looked up, once.
+    by reason; the prefix starts the messages of malformed rows. Rows are
+    summed under their name's spelling, each distinct spelling is checked
+    once at the end, and each distinct gender tag is looked up once.
     """
-    counts: dict[str, list[int]] = {}
-    # raw name -> its [female, male] slot in counts, or why it was rejected
-    slots: dict[str, list[int] | Rejection] = {}
+    sums: dict[str, tuple[int, int, int]] = {}  # spelling -> (female, male, rows)
+    first_sums: dict[tuple[int, int, int], tuple[int, int, int]] = {}  # a name's first sums, shared per value
     # raw gender tag -> slot index (0 female, 1 male), or None if unmappable
     sides: dict[str, int | None] = {}
-    total = retained = unmappable = 0
+    total = summed = unmappable = 0
     for line_no, where, row in rows:
         total += 1
         if isinstance(row, str):
@@ -252,20 +264,18 @@ def _accumulate(
         if side is None:
             unmappable += 1
             continue
-        slot = slots.get(raw_name)
-        if slot is None:
-            name = normalize_name(raw_name)
-            slot = slots[raw_name] = name if isinstance(name, Rejection) else counts.setdefault(name, [0, 0])
-        if isinstance(slot, Rejection):
-            report.rejections[slot] += 1
-            continue
-        retained += 1
-        slot[side] += count
+        spelling = _spelling(raw_name)
+        female, male, seen = sums.get(spelling, (0, 0, 0))
+        slot = (female + count, male, seen + 1) if side == 0 else (female, male + count, seen + 1)
+        sums[spelling] = slot if seen else first_sums.setdefault(slot, slot)
+        summed += 1
+    rejections: Counter[Rejection] = Counter()
+    entries = _check_spellings(sums, rejections)
+    report.rejections.update(rejections)
     report.total_rows += total
-    report.retained += retained
+    report.retained += summed - rejections.total()
     report.unmappable_gender += unmappable
-    slots.clear()  # the memo holds every slot; release them before the table is built
-    return _shared_counts(counts)
+    return entries
 
 
 def ingest_labeled_csv(
@@ -363,13 +373,16 @@ def merge_tables(tables: Sequence[FrequencyTable]) -> FrequencyTable:
     """Merge first-name tables by component-wise count addition."""
     if not tables:
         raise ValueError("nothing to merge")
+    counts: dict[str, tuple[int, int]] = {}
     for table in tables:
         if table.name_type is not NameType.FIRST:
             raise ValueError(
                 f"merge requires first-name tables; {table.source_id!r} is {table.name_type.value}"
             )
-    entries = _sum_counts((name, gc.female, gc.male) for t in tables for name, gc in t.entries.items())
-    return FrequencyTable(entries, NameType.FIRST, "+".join(t.source_id for t in tables))
+        for name, gc in table.entries.items():
+            female, male = counts.get(name, (0, 0))
+            counts[name] = (female + gc.female, male + gc.male)
+    return FrequencyTable(_shared_counts(counts), NameType.FIRST, "+".join(t.source_id for t in tables))
 
 
 def to_first_names(table: FrequencyTable) -> FrequencyTable:
@@ -381,18 +394,16 @@ def to_first_names(table: FrequencyTable) -> FrequencyTable:
     """
     if table.name_type is NameType.FIRST:
         return table
-    tokens: dict[str, list[int]] = {}  # first token -> [female, male, number of full names]
+    firsts: dict[str, tuple[int, int, int]] = {}  # first token's spelling -> (female, male, number of full names)
     for full, gc in table.entries.items():
-        slot = tokens.setdefault(split_full_name(full)[0], [0, 0, 0])
-        slot[0] += gc.female
-        slot[1] += gc.male
-        slot[2] += 1
-    cleaned = [(normalize_name(first), f, m, fulls) for first, (f, m, fulls) in tokens.items()]
-    dropped = sum(fulls for name, _, _, fulls in cleaned if isinstance(name, Rejection))
+        first = _spelling(split_full_name(full)[0])
+        female, male, fulls = firsts.get(first, (0, 0, 0))
+        firsts[first] = (female + gc.female, male + gc.male, fulls + 1)
+    dropped: Counter[Rejection] = Counter()
+    entries = _check_spellings(firsts, dropped)
     if dropped:
-        logger.info("to_first_names: dropped %d first tokens failing cleaning", dropped)
-    kept = ((name, f, m) for name, f, m, _ in cleaned if not isinstance(name, Rejection))
-    return FrequencyTable(_sum_counts(kept), NameType.FIRST, table.source_id)
+        logger.info("to_first_names: dropped %d first tokens failing cleaning", dropped.total())
+    return FrequencyTable(entries, NameType.FIRST, table.source_id)
 
 
 def dataset_stats(table: FrequencyTable) -> DatasetStats:
@@ -427,16 +438,11 @@ def cross_dataset_uniqueness(tables: Sequence[FrequencyTable]) -> list[tuple[int
     percentage of its unique names that represents."""
     if len(tables) < 2:
         raise ValueError("need at least two tables")
-    keysets = [set(t.entries) for t in tables]
+    tables_with = Counter(name for t in tables for name in t.entries)  # name -> number of tables holding it
     results = []
-    for i, keys in enumerate(keysets):
-        others: set[str] = set()
-        for j, other in enumerate(keysets):
-            if j != i:
-                others |= other
-        unique = len(keys - others)
-        pct = 100.0 * unique / len(keys) if keys else 0.0
-        results.append((unique, pct))
+    for t in tables:
+        unique = sum(tables_with[name] == 1 for name in t.entries)
+        results.append((unique, 100.0 * unique / len(t.entries) if t.entries else 0.0))
     return results
 
 

@@ -120,13 +120,7 @@ class ConfusionCounts:
 
     @property
     def total(self) -> int:
-        return (
-            self.true_female
-            + self.true_male
-            + self.false_female
-            + self.false_male
-            + self.undecided
-        )
+        return sum(vars(self).values())  # each outcome is in exactly one tally
 
 
 class RateType(Enum):

@@ -676,6 +676,60 @@ def test_eval_reports_vote_ties(tmp_path):
     assert "hybrid: vote ties = 1" in (out / "report.txt").read_text(encoding="utf-8")
 
 
+def write_twostage_conf(path: Path, model: str, *lines: str) -> Path:
+    """A two-stage config over model whose fallback is a mock that knows no name."""
+    write_mock_file(path.parent / "empty.json", {})
+    path.write_text("\n".join([f"model = {model}", f"fallback = mock:{path.parent / 'empty.json'}", *lines]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("band, reason", [
+    ("0.3", "not enough values to unpack (expected 2, got 1)"),
+    ("0.3, x", "could not convert string to float: ' x'"),
+    ("0.25, 0.5, 0.75", "too many values to unpack (expected 2)"),
+    ("0.8, 0.2", "bad defer band [0.8, 0.2]"),
+    ("0.25, 1.5", "bad defer band [0.25, 1.5]"),
+])
+def test_eval_twostage_bad_band_names_the_config_file_and_the_key(tmp_path, capsys, band, reason):
+    (tmp_path / "m.table.tsv").write_text("# name_type=first\tsource_id=m\nana\t9\t1\n", encoding="utf-8")
+    assert run("train", str(tmp_path / "m.table.tsv"), "--out-dir", str(tmp_path)) == 0
+    ensemble = write_twostage_conf(tmp_path / "ens.conf", "m.model.tsv", f"band = {band}")
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female")])
+    capsys.readouterr()
+    assert run("eval", "--test", str(testset), "--inferrer", f"twostage:{ensemble}",
+               "--out-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"namegender: error: {ensemble}: band = {band}: {reason}\n"
+
+
+def test_eval_reads_each_model_file_once_per_command(tmp_path, monkeypatch):
+    model = tmp_path / "m.model.tsv"
+    save_model(train(FrequencyTable({"ana": GenderCounts(99, 1)}, NameType.FIRST, "m")), model)
+    (tmp_path / "sub").mkdir()
+    # one file named three ways: by the mle spec, by absolute path, and relative to a config's directory
+    first = write_twostage_conf(tmp_path / "a.conf", str(model), "id = ts_a")
+    second = write_twostage_conf(tmp_path / "sub" / "b.conf", "../m.model.tsv", "id = ts_b")
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female")])
+    loads = []
+    load_model = cli.mle.load_model
+    monkeypatch.setattr(cli.mle, "load_model", lambda path: loads.append(path) or load_model(path))
+
+    def accuracies() -> list[str]:
+        assert run("eval", "--test", str(testset), "--inferrer", f"m=mle:{model}", "--inferrer", f"twostage:{first}",
+                   "--inferrer", f"twostage:{second}", "--out-dir", str(tmp_path / "out")) == 0
+        rows = (tmp_path / "out" / "report.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        return [row.split("\t")[3] for row in rows if "\tdemo\t" in row]
+
+    assert accuracies() == ["100.00"] * 3
+    assert len(loads) == 1
+    # a model file rewritten between two commands in one process is read again
+    save_model(train(FrequencyTable({"ana": GenderCounts(1, 99)}, NameType.FIRST, "m")), model)
+    assert accuracies() == ["0.00"] * 3
+    assert len(loads) == 2
+
+
 def test_analyze_exports(tmp_path):
     testset = tmp_path / "demo.test.tsv"
     write_testset_file(testset, [("ana", "female"), ("josé", "male"), ("bo", "male")])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import threading
 import time
 from contextlib import closing
 from pathlib import Path
@@ -414,12 +415,30 @@ def test_rate_limiter_bounds_sliding_window():
         assert in_window <= rate
 
 
+class RecordingLimiter(RateLimiter):
+    """Records the instant of each grant before acquire releases the lock, so no
+    delay after acquire returns (as in a session that stamps its calls) moves it."""
+
+    def __init__(self, rate_per_second: float) -> None:
+        super().__init__(rate_per_second)
+        self._lock = threading.RLock()  # re-entered by the acquire this one wraps
+        self.grants: list[float] = []
+
+    def acquire(self) -> None:
+        with self._lock:
+            super().acquire()
+            # acquire sets the next slot to the grant instant plus the interval
+            self.grants.append(self._next_slot - self._interval)
+
+
 def test_adapter_dispatch_respects_rate_limit():
     body = json.dumps({"gender": "female", "accuracy": 70})
     session = FakeSession(lambda url: FakeResponse(200, body))
     adapter = HttpAdapter(adapter_config(rate_limit=200.0), session=session)
+    adapter._limiter = limiter = RecordingLimiter(200.0)
     adapter.infer_batch([f"name{i}" for i in range(60)])
-    times = [t for t, _ in session.calls]
+    times = limiter.grants
+    assert len(times) == len(session.calls) == 60
     for i, start in enumerate(times):
         in_window = sum(1 for t in times[i:] if t - start < 1.0)
         assert in_window <= 200
