@@ -62,17 +62,18 @@ def non_english_distribution(
     rated: Iterable[tuple[str, RateType]]
 ) -> dict[RateType, float]:
     """Per rate type: percentage of names containing non a-z characters."""
-    totals: Counter[RateType] = Counter()
-    hits: Counter[RateType] = Counter()
+    totals: dict[RateType, int] = {}
+    hits: dict[RateType, int] = {}
     for name, rate in rated:
-        totals[rate] += 1
-        hits[rate] += is_non_english(name)
+        totals[rate] = totals.get(rate, 0) + 1
+        if is_non_english(name):
+            hits[rate] = hits.get(rate, 0) + 1
     out = {}
     for rate in RateType:
         if rate not in totals:
             logger.info("non_english_distribution: no %s names, omitted", rate.value)
             continue
-        out[rate] = 100.0 * hits[rate] / totals[rate]
+        out[rate] = 100.0 * hits.get(rate, 0) / totals[rate]
     return out
 
 
@@ -139,7 +140,9 @@ def write_non_english_export(
     rated: Sequence[tuple[str, RateType]], path: str | Path
 ) -> None:
     distribution = non_english_distribution(rated)
-    counts = Counter(rate for _, rate in rated)
+    counts: dict[RateType, int] = {}
+    for _, rate in rated:
+        counts[rate] = counts.get(rate, 0) + 1
     lines = ["rate_type\tnames\tnon_english_percentage"]
     for rate in RateType:
         if rate in distribution:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -64,6 +64,21 @@ _CONFIG_KEYS = {
 }
 
 
+@dataclass
+class RunManifest:
+    """Reproducibility record written alongside every output artifact."""
+
+    command: list[str]
+    seed: int | None
+    tool_version: str
+    timestamp: str
+    input_digests: dict[str, str] = field(default_factory=dict)
+    config_digests: dict[str, str] = field(default_factory=dict)
+
+    def write(self, path: Path) -> None:
+        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -79,16 +94,15 @@ def _write_manifest(
     inputs: Sequence[str | Path] = (),
     configs: Sequence[str | Path] = (),
 ) -> None:
-    manifest = {
-        "command": list(args._argv),
-        "seed": args.seed,
-        "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "input_digests": {str(p): _sha256(p) for p in inputs},
-        "config_digests": {str(p): _sha256(p) for p in configs},
-    }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (out_dir / f"{name}.manifest.json").write_text(text, encoding="utf-8")
+    manifest = RunManifest(
+        command=list(args._argv),
+        seed=args.seed,
+        tool_version=__version__,
+        timestamp=datetime.now(timezone.utc).isoformat(),
+        input_digests={str(p): _sha256(p) for p in inputs},
+        config_digests={str(p): _sha256(p) for p in configs},
+    )
+    manifest.write(out_dir / f"{name}.manifest.json")
 
 
 # --- inferrer specs -----------------------------------------------------------
@@ -124,6 +138,16 @@ def _build_twostage(path: str, id: str | None, config_paths: list[Path], models:
     model_path = (base / fields["model"]).resolve() if not Path(fields["model"]).is_absolute() else Path(fields["model"])
     config_paths.append(Path(model_path))
     model = _model(model_path, models)
+    band = DEFAULT_DEFER_BAND
+    if "band" in fields:
+        try:
+            lo, hi = (float(x) for x in fields["band"].split(","))
+            valid = 0.0 <= lo < hi <= 1.0
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(f"{path}: band = {fields['band']}: expected two numbers lo, hi with 0 <= lo < hi <= 1")
+        band = (lo, hi)
     if "voters" in fields:
         voters = tuple(
             build_inferrer(spec.strip(), config_paths, models) for spec in fields["voters"].split(";")
@@ -135,13 +159,8 @@ def _build_twostage(path: str, id: str | None, config_paths: list[Path], models:
         fallback = build_inferrer(fields["fallback"], config_paths, models)
     else:
         raise ValueError(f"{path}: two-stage config requires fallback = or voters =")
-    band = fields.get("band")
-    try:
-        lo, hi = DEFAULT_DEFER_BAND if band is None else (float(x) for x in band.split(","))
-        config = TwoStageConfig(model, fallback, (lo, hi))
-    except ValueError as exc:
-        raise ValueError(f"{path}: band = {band}: {exc}") from None
-    return TwoStageInferrer(config, id=id or fields.get("id"))
+    spec_id = id or fields.get("id")
+    return TwoStageInferrer(TwoStageConfig(model, fallback, band), id=spec_id)
 
 
 def build_inferrer(
@@ -149,8 +168,10 @@ def build_inferrer(
 ) -> Inferrer:
     """Construct an inferrer from a [id=]kind:arg spec string; specs built with one
     models map (resolved path -> model) share one model per file, so a command passes all its specs one map."""
-    config_paths = [] if config_paths is None else config_paths
-    models = {} if models is None else models
+    if config_paths is None:
+        config_paths = []
+    if models is None:
+        models = {}
     id = None
     if "=" in spec.split(":", 1)[0]:
         id, spec = spec.split("=", 1)

@@ -438,11 +438,16 @@ def cross_dataset_uniqueness(tables: Sequence[FrequencyTable]) -> list[tuple[int
     percentage of its unique names that represents."""
     if len(tables) < 2:
         raise ValueError("need at least two tables")
-    tables_with = Counter(name for t in tables for name in t.entries)  # name -> number of tables holding it
+    keysets = [set(t.entries) for t in tables]
     results = []
-    for t in tables:
-        unique = sum(tables_with[name] == 1 for name in t.entries)
-        results.append((unique, 100.0 * unique / len(t.entries) if t.entries else 0.0))
+    for i, keys in enumerate(keysets):
+        others: set[str] = set()
+        for j, other in enumerate(keysets):
+            if j != i:
+                others |= other
+        unique = len(keys - others)
+        pct = 100.0 * unique / len(keys) if keys else 0.0
+        results.append((unique, pct))
     return results
 
 

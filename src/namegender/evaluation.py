@@ -120,7 +120,13 @@ class ConfusionCounts:
 
     @property
     def total(self) -> int:
-        return sum(vars(self).values())  # each outcome is in exactly one tally
+        return (
+            self.true_female
+            + self.true_male
+            + self.false_female
+            + self.false_male
+            + self.undecided
+        )
 
 
 class RateType(Enum):

@@ -113,9 +113,10 @@ class MleInferrer(Inferrer):
 
     A known name's answer depends only on its counts and tau, so the inferrer
     keeps, for its whole life, one Prediction per distinct GenderCounts value
-    it has answered and one unknown for every absent name. Each line looks up
-    id() of its GenderCounts, which the immutable model keeps alive, and only
-    a count object not seen before is hashed to look up its value.
+    it has answered and one unknown for every absent name, and answers each
+    line from them. The model is immutable, so this memo holds at most one
+    entry per distinct count pair of the model, however many names are
+    queried.
     """
 
     def __init__(self, model: MleModel, id: str | None = None) -> None:
@@ -123,22 +124,18 @@ class MleInferrer(Inferrer):
         self.model = model
         self._unknown = Prediction(GenderLabel.UNKNOWN, None, self.id)
         self._by_counts: dict[GenderCounts, Prediction] = {}
-        self._by_id: dict[int, Prediction] = {}
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
-        entries, by_counts, by_id, unknown = self.model.table.entries, self._by_counts, self._by_id, self._unknown
+        entries, by_counts, unknown = self.model.table.entries, self._by_counts, self._unknown
         out = []
         for name in names:
             counts = entries.get(name)
-            pred = unknown if counts is None else by_id.get(id(counts))
+            pred = unknown if counts is None else by_counts.get(counts)
             if pred is None:
-                pred = by_counts.get(counts)
-                if pred is None:
-                    pred = self.model.classify(name)
-                    if pred.source != self.id:
-                        pred = Prediction(pred.label, pred.p_female, self.id)
-                    by_counts[counts] = pred
-                by_id[id(counts)] = pred
+                pred = self.model.classify(name)
+                if pred.source != self.id:
+                    pred = Prediction(pred.label, pred.p_female, self.id)
+                by_counts[counts] = pred
             out.append(pred)
         return out
 

@@ -684,22 +684,20 @@ def write_twostage_conf(path: Path, model: str, *lines: str) -> Path:
     return path
 
 
-@pytest.mark.parametrize("band, reason", [
-    ("0.3", "not enough values to unpack (expected 2, got 1)"),
-    ("0.3, x", "could not convert string to float: ' x'"),
-    ("0.25, 0.5, 0.75", "too many values to unpack (expected 2)"),
-    ("0.8, 0.2", "bad defer band [0.8, 0.2]"),
-    ("0.25, 1.5", "bad defer band [0.25, 1.5]"),
-])
-def test_eval_twostage_bad_band_names_the_config_file_and_the_key(tmp_path, capsys, band, reason):
+@pytest.mark.parametrize("band", ["0.3", "0.3, x", "0.25, 0.5, 0.75", "0.8, 0.2", "0.25, 1.5", "nan, 0.5"])
+def test_eval_twostage_bad_band_names_the_config_file_and_the_key(tmp_path, capsys, band):
     (tmp_path / "m.table.tsv").write_text("# name_type=first\tsource_id=m\nana\t9\t1\n", encoding="utf-8")
     assert run("train", str(tmp_path / "m.table.tsv"), "--out-dir", str(tmp_path)) == 0
-    ensemble = write_twostage_conf(tmp_path / "ens.conf", "m.model.tsv", f"band = {band}")
+    # the band is checked before the fallback, here one whose file is missing, is built
+    ensemble = tmp_path / "ens.conf"
+    ensemble.write_text(f"model = m.model.tsv\nfallback = mock:{tmp_path / 'missing.json'}\nband = {band}\n",
+                        encoding="utf-8")
     testset = tmp_path / "demo.test.tsv"
     write_testset_file(testset, [("ana", "female")])
     capsys.readouterr()
     assert run("eval", "--test", str(testset), "--inferrer", f"twostage:{ensemble}",
                "--out-dir", str(tmp_path / "out")) == 1
+    reason = "expected two numbers lo, hi with 0 <= lo < hi <= 1"
     assert capsys.readouterr().err == f"namegender: error: {ensemble}: band = {band}: {reason}\n"
 
 

@@ -416,7 +416,7 @@ def test_rate_limiter_bounds_sliding_window():
 
 
 class RecordingLimiter(RateLimiter):
-    """Records the instant of each grant before acquire releases the lock, so no
+    """Stamps each grant with the clock before acquire releases the lock, so no
     delay after acquire returns (as in a session that stamps its calls) moves it."""
 
     def __init__(self, rate_per_second: float) -> None:
@@ -427,17 +427,16 @@ class RecordingLimiter(RateLimiter):
     def acquire(self) -> None:
         with self._lock:
             super().acquire()
-            # acquire sets the next slot to the grant instant plus the interval
-            self.grants.append(self._next_slot - self._interval)
+            self.grants.append(time.monotonic())
 
 
-def test_adapter_dispatch_respects_rate_limit():
+def test_adapter_dispatch_respects_rate_limit(monkeypatch):
+    monkeypatch.setattr("namegender.inferrers.RateLimiter", RecordingLimiter)
     body = json.dumps({"gender": "female", "accuracy": 70})
     session = FakeSession(lambda url: FakeResponse(200, body))
     adapter = HttpAdapter(adapter_config(rate_limit=200.0), session=session)
-    adapter._limiter = limiter = RecordingLimiter(200.0)
     adapter.infer_batch([f"name{i}" for i in range(60)])
-    times = limiter.grants
+    times = adapter._limiter.grants
     assert len(times) == len(session.calls) == 60
     for i, start in enumerate(times):
         in_window = sum(1 for t in times[i:] if t - start < 1.0)
@@ -447,7 +446,9 @@ def test_adapter_dispatch_respects_rate_limit():
     assert min(gaps) >= (1.0 / 200.0) * 0.5
 
 
-def test_adapter_concurrent_width_keeps_order_and_rate():
+def test_adapter_concurrent_width_keeps_order_and_rate(monkeypatch):
+    monkeypatch.setattr("namegender.inferrers.RateLimiter", RecordingLimiter)
+
     def handler(url):
         name = url.rsplit("=", 1)[1]
         label = "female" if name.endswith(("0", "2", "4")) else "male"
@@ -465,6 +466,10 @@ def test_adapter_concurrent_width_keeps_order_and_rate():
     times = sorted(t for t, _ in session.calls)
     for i, start in enumerate(times):
         assert sum(1 for t in times[i:] if t - start < 1.0) <= 300
+    # the four workers share one limiter, whose grants stay the interval apart
+    grants = adapter._limiter.grants
+    assert len(grants) == 40
+    assert min(b - a for a, b in zip(grants, grants[1:])) >= (1.0 / 300.0) * 0.5
 
 
 def test_adapter_does_not_cache_unmappable_response(tmp_path):
