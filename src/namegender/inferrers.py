@@ -4,7 +4,8 @@ Every inferrer answers infer_batch with exactly one Prediction per input
 name, in input order, tagged with the inferrer's id. External HTTP
 adapters degrade per-name failures to unknown predictions instead of
 aborting the batch; only configuration problems (bad credential
-reference, endpoint unreachable on the very first request) fail fast.
+reference, endpoint unreachable before any request got an HTTP response)
+fail fast.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class AdapterConfigError(ValueError):
 
 
 class AdapterUnreachableError(RuntimeError):
-    """The endpoint did not answer the first probe request."""
+    """No request to the endpoint has received any HTTP response."""
 
 
 class Inferrer(ABC):
@@ -316,7 +317,7 @@ class HttpAdapter(Inferrer):
         self.config = config
         self._session = session
         self._limiter = RateLimiter(config.rate_limit)
-        self._ever_succeeded = False
+        self._reached = False
 
     def _credential(self) -> str:
         env = self.config.credential_env
@@ -360,15 +361,15 @@ class HttpAdapter(Inferrer):
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
                 continue
+            self._reached = True  # any status shows the endpoint answers
             if response.status_code >= 500:
                 last_error = RuntimeError(f"HTTP {response.status_code}")
                 continue
             if response.status_code != 200:
                 logger.warning("%s: %r -> HTTP %d", self.id, name, response.status_code)
                 return None
-            self._ever_succeeded = True
             return response.text
-        if isinstance(last_error, requests.ConnectionError) and not self._ever_succeeded:
+        if isinstance(last_error, requests.ConnectionError) and not self._reached:
             raise AdapterUnreachableError(f"{self.id}: endpoint unreachable: {last_error}")
         logger.warning("%s: %r failed after %d attempts: %s", self.id, name, self.config.max_attempts, last_error)
         return None

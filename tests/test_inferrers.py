@@ -372,6 +372,16 @@ def test_adapter_connection_error_after_success_degrades():
     assert preds[1].label is GenderLabel.UNKNOWN
 
 
+@pytest.mark.parametrize("status", [404, 503])
+def test_adapter_connection_error_after_an_error_status_degrades(status):
+    # any HTTP response, whatever its status, shows the endpoint is reachable
+    def handler(url):
+        return FakeResponse(status) if url.endswith("=anna") else requests.ConnectionError("refused")
+
+    preds = HttpAdapter(adapter_config(), session=FakeSession(handler)).infer_batch(["anna", "bo"])
+    assert preds == [Prediction(GenderLabel.UNKNOWN, None, "svc")] * 2
+
+
 def test_adapter_retries_server_errors():
     state = {"calls": 0}
 

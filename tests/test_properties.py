@@ -1,20 +1,24 @@
 """Property tests: ingestion and batch inference match per-row and per-name
 references; scoring, error analysis and report rendering agree; table files,
 merges and full-to-first-name folds match the list-building code they
-replaced."""
+replaced; the HTTP adapter degrades per name under injected faults."""
 
 from __future__ import annotations
 
 import csv
 import itertools
+import json
 import logging
+import sqlite3
 import tempfile
 import unicodedata
 from collections import Counter, defaultdict
+from contextlib import closing
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+import requests
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from namegender.analysis import assign_rate_types
@@ -50,8 +54,10 @@ from namegender.evaluation import (
     score,
 )
 from namegender.ensemble import TwoStageConfig, TwoStageInferrer, majority_vote
-from namegender.inferrers import MleInferrer, MockInferrer
+from namegender.inferrers import AdapterUnreachableError, ExternalAdapterConfig, HttpAdapter, MleInferrer, MockInferrer
 from namegender.mle import GenderLabel, MleModel, Prediction, train
+
+from conftest import FakeResponse
 
 # Raw names repeat with case and space variants, and include titles, digits,
 # one-letter names and names without a vowel.
@@ -585,3 +591,95 @@ def test_to_first_names_matches_the_list_building_version(caplog, full):
         return list(table.entries.items()), table.name_type, table.source_id, caplog.messages
 
     assert run(to_first_names) == run(_list_building_to_first_names)
+
+
+# What the fake endpoint does with one request: "bad" is a 200 that does not parse, "odd" one that does not map.
+OUTCOMES = st.sampled_from(["refused", "timeout", "503", "404", "bad", "odd", "ok"])
+TRANSPORT_FAILURES = {"refused", "timeout"}
+RETRIED = TRANSPORT_FAILURES | {"503"}
+# Each name's good response and the prediction it maps to.
+GOOD = {
+    "anna": ("female", Prediction(GenderLabel.FEMALE, 1.0, "svc")),
+    "bo": ("male", Prediction(GenderLabel.MALE, 0.0, "svc")),
+    "cleo": ("andy", Prediction(GenderLabel.AMBIGUOUS, 0.5, "svc")),
+    "dan": ("unknown", Prediction(GenderLabel.UNKNOWN, None, "svc")),
+}
+
+
+def _good_text(name: str) -> str:
+    return json.dumps({"gender": GOOD[name][0]})
+
+
+class ScriptedSession:
+    """Answers the k-th request for a name with the k-th outcome of its script (the last one once it runs out)."""
+
+    def __init__(self, scripts: dict[str, list[str]]) -> None:
+        self.scripts = scripts
+        self.calls: list[tuple[str, str]] = []
+
+    def get(self, url, timeout=None):
+        name = url.rsplit("=", 1)[1]
+        script = self.scripts.get(name, ["ok"])
+        outcome = script[min(sum(asked == name for asked, _ in self.calls), len(script) - 1)]
+        self.calls.append((name, outcome))
+        if outcome == "refused":
+            raise requests.ConnectionError("refused")
+        if outcome == "timeout":
+            raise requests.Timeout("timed out")
+        if outcome in ("503", "404"):
+            return FakeResponse(int(outcome))
+        return FakeResponse(200, {"bad": "<html>", "odd": '{"gender": "nonbinary"}'}.get(outcome) or _good_text(name))
+
+
+def _gave_up_unreached(calls: list[tuple[str, str]], max_attempts: int) -> bool:
+    """Whether, in call order, a name failed every attempt in transport, the last one refused, before any
+    request got an HTTP response."""
+    for _, group in itertools.groupby(calls, key=lambda call: call[0]):
+        outcomes = [outcome for _, outcome in group]
+        if not set(outcomes) <= TRANSPORT_FAILURES:
+            return False
+        if len(outcomes) == max_attempts and outcomes[-1] == "refused":
+            return True
+    return False
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.sampled_from(sorted(GOOD)), min_size=1, max_size=8),
+    st.fixed_dictionaries({name: st.lists(OUTCOMES, min_size=1, max_size=3) for name in GOOD}),
+    st.integers(1, 3),
+)
+# an error status, then a name whose every attempt is refused: the endpoint was reached, so that name degrades
+@example(["anna", "bo"], {"anna": ["404"], "bo": ["refused"], "cleo": ["ok"], "dan": ["ok"]}, 2)
+@example(["anna", "bo"], {"anna": ["503"], "bo": ["refused"], "cleo": ["ok"], "dan": ["ok"]}, 2)
+def test_http_adapter_degrades_per_name_and_stores_only_what_maps(names, scripts, max_attempts):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = ExternalAdapterConfig(id="svc", endpoint="https://svc.example/v1?name={name}", rate_limit=10_000.0,
+                                       max_attempts=max_attempts, backoff=0.0, cache_dir=tmp)
+        session = ScriptedSession(scripts)
+        try:
+            preds = HttpAdapter(config, session=session).infer_batch(names)
+        except AdapterUnreachableError:
+            preds = None
+        # unreachable only when no request has yet received any HTTP response, and then always
+        assert (preds is None) == _gave_up_unreached(session.calls, max_attempts)
+        # at most max_attempts fetches per distinct name; a retry follows a transport failure or a 5xx, and only those
+        tries = defaultdict(list)
+        for name, outcome in session.calls:
+            tries[name].append(outcome)
+        for outcomes in tries.values():
+            assert len(outcomes) <= max_attempts and set(outcomes[:-1]) <= RETRIED
+            assert len(outcomes) == max_attempts or outcomes[-1] not in RETRIED
+        last = dict(session.calls)
+        answered = {name: _good_text(name) for name, outcome in last.items() if outcome == "ok"}
+        with closing(sqlite3.connect(Path(tmp) / "svc.sqlite")) as db:
+            stored = dict(db.execute("SELECT name, text FROM responses"))
+        assert stored.items() <= answered.items()
+        if preds is not None:
+            unknown = Prediction(GenderLabel.UNKNOWN, None, "svc")
+            assert preds == [GOOD[name][1] if last[name] == "ok" else unknown for name in names]
+            assert stored == answered
+        # a healthy second batch fetches exactly the names that were not stored, once each
+        healthy = ScriptedSession({})
+        assert HttpAdapter(config, session=healthy).infer_batch(names) == [GOOD[name][1] for name in names]
+        assert sorted(name for name, _ in healthy.calls) == sorted(set(names) - set(stored))
