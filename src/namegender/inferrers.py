@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import threading
 import time
 from abc import ABC, abstractmethod
 from contextlib import closing
@@ -142,23 +141,21 @@ class MleInferrer(Inferrer):
 
 
 class RateLimiter:
-    """Spaces dispatches at least 1/rate seconds apart. Thread-safe."""
+    """Spaces dispatches at least 1/rate seconds apart."""
 
     def __init__(self, rate_per_second: float) -> None:
         if rate_per_second <= 0:
             raise ValueError("rate must be positive")
         self._interval = 1.0 / rate_per_second
-        self._lock = threading.Lock()
         self._next_slot = 0.0
 
     def acquire(self) -> None:
-        with self._lock:
+        now = time.monotonic()
+        wait = self._next_slot - now
+        if wait > 0:
+            time.sleep(wait)
             now = time.monotonic()
-            wait = self._next_slot - now
-            if wait > 0:
-                time.sleep(wait)
-                now = time.monotonic()
-            self._next_slot = max(self._next_slot, now) + self._interval
+        self._next_slot = max(self._next_slot, now) + self._interval
 
 
 def normalize_confidence(raw: object, scale: str) -> float:
@@ -209,8 +206,6 @@ class ExternalAdapterConfig:
     max_attempts: int = 3
     backoff: float = 0.5
     timeout: float = 10.0
-    batch_limit: int = 1000
-    max_in_flight: int = 1
     label_path: str = "gender"
     confidence_path: str | None = None
     confidence_scale: str = "unit"
@@ -231,10 +226,6 @@ class ExternalAdapterConfig:
             raise AdapterConfigError("endpoint template must contain {name}")
         if self.confidence_scale not in ("unit", "percent"):
             raise AdapterConfigError(f"bad confidence_scale {self.confidence_scale!r}")
-        if self.max_in_flight < 1:
-            raise AdapterConfigError("max_in_flight must be >= 1")
-        if self.batch_limit < 1:
-            raise AdapterConfigError("batch_limit must be >= 1")
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -256,8 +247,6 @@ _ADAPTER_SCALARS = {
     "max_attempts": int,
     "backoff": float,
     "timeout": float,
-    "batch_limit": int,
-    "max_in_flight": int,
 }
 
 
@@ -288,6 +277,11 @@ def parse_adapter_config(path: str | Path) -> ExternalAdapterConfig:
     if aliases:
         kwargs["label_aliases"] = aliases
     return ExternalAdapterConfig(**kwargs)  # type: ignore[arg-type]
+
+
+# Fetched names are stored one transaction per this many, so an interrupted
+# batch keeps every chunk but the one in flight.
+_STORE_CHUNK = 1000
 
 
 def _walk_path(data: object, dotted: str) -> object:
@@ -404,23 +398,17 @@ class HttpAdapter(Inferrer):
                 row = db.execute("SELECT text FROM responses WHERE name = ?", (name,)).fetchone()
                 answers[name] = self._parse(name, row[0] if row else None)
             misses = [name for name, answer in answers.items() if answer is None]
-            if misses:
-                from concurrent.futures import ThreadPoolExecutor
-
-                if self._session is None:
-                    import requests
-                    self._session = requests.Session()
-                # pool threads only fetch; this thread parses and stores, one transaction per chunk
-                limit = self.config.batch_limit
-                with ThreadPoolExecutor(max_workers=self.config.max_in_flight) as pool:
-                    for start in range(0, len(misses), limit):
-                        chunk = misses[start : start + limit]
-                        mapped = []
-                        for name, text in zip(chunk, pool.map(lambda n: self._fetch(n, credential), chunk)):
-                            answers[name] = self._parse(name, text)
-                            if answers[name] is not None:
-                                mapped.append((name, text))
-                        with db:
-                            db.executemany("INSERT OR REPLACE INTO responses VALUES (?, ?)", mapped)
+            if misses and self._session is None:
+                import requests
+                self._session = requests.Session()
+            for start in range(0, len(misses), _STORE_CHUNK):
+                mapped = []
+                for name in misses[start : start + _STORE_CHUNK]:
+                    text = self._fetch(name, credential)
+                    answers[name] = self._parse(name, text)
+                    if answers[name] is not None:
+                        mapped.append((name, text))
+                with db:
+                    db.executemany("INSERT OR REPLACE INTO responses VALUES (?, ?)", mapped)
         unknown = Prediction(GenderLabel.UNKNOWN, None, self.id)
         return [answers[name] or unknown for name in names]

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-import threading
 import time
 from contextlib import closing
 from pathlib import Path
@@ -110,22 +109,14 @@ def test_output_length_equals_input_length(rng):
         assert len(mock.infer_batch(names)) == len(names)
 
 
-def test_batch_limit_chunks_internally():
-    session = FakeSession(lambda url: FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90})))
-    adapter = HttpAdapter(adapter_config(batch_limit=3, max_in_flight=2), session=session)
-    assert len(adapter.infer_batch([f"n{i}" for i in range(10)])) == 10
-    assert len(session.calls) == 10
-
-
-@pytest.mark.parametrize("max_in_flight", [1, 2])
-def test_adapter_asks_once_per_distinct_name_in_a_batch(max_in_flight):
+def test_adapter_asks_once_per_distinct_name_in_a_batch():
     def handler(url):
         if url.endswith("=bad"):
             return FakeResponse(500)
         return FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90}))
 
     session = FakeSession(handler)
-    adapter = HttpAdapter(adapter_config(max_in_flight=max_in_flight, batch_limit=2), session=session)
+    adapter = HttpAdapter(adapter_config(), session=session)
     assert adapter.infer_batch(["anna", "anna", "anna"]) == [Prediction(GenderLabel.FEMALE, 0.9, "svc")] * 3
     assert len(session.calls) == 1
     # a name that fails degrades to unknown at every position; a bad one is tried max_attempts times
@@ -157,21 +148,35 @@ def test_adapter_reads_a_cached_name_once_per_batch(tmp_path, monkeypatch):
     assert replay.calls == []
 
 
-def test_concurrent_batch_creates_one_session(monkeypatch):
+def counting_sessions(monkeypatch) -> list[FakeSession]:
+    """Make requests.Session build answering fakes; the returned list holds each one built."""
     constructed = []
 
     class CountingSession(FakeSession):
         def __init__(self) -> None:
             constructed.append(self)
-            time.sleep(0.05)  # widen the window in which a second thread could also construct one
             super().__init__(lambda url: FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90})))
 
     monkeypatch.setattr(requests, "Session", CountingSession)
-    adapter = HttpAdapter(adapter_config(max_in_flight=2))
+    return constructed
+
+
+def test_batch_creates_one_session(monkeypatch):
+    constructed = counting_sessions(monkeypatch)
+    adapter = HttpAdapter(adapter_config())
     preds = adapter.infer_batch(["anna", "bert", "cleo", "dora"])
     assert [p.label for p in preds] == [GenderLabel.FEMALE] * 4
     assert len(constructed) == 1
     assert len(constructed[0].calls) == 4
+
+
+def test_batch_of_stored_names_creates_no_session(tmp_path, monkeypatch):
+    config = adapter_config(cache_dir=str(tmp_path))
+    body = json.dumps({"gender": "male", "accuracy": 80})
+    assert HttpAdapter(config, session=FakeSession(lambda url: FakeResponse(200, body))).infer("bo").label is GenderLabel.MALE
+    constructed = counting_sessions(monkeypatch)
+    assert [p.label for p in HttpAdapter(config).infer_batch(["bo", "bo"])] == [GenderLabel.MALE] * 2
+    assert constructed == []
 
 
 def test_builtin_mle_matches_direct_classify(rng):
@@ -288,9 +293,11 @@ def test_parse_adapter_config(tmp_path):
 
 def test_parse_adapter_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "svc.conf"
-    path.write_text("id = x\nendpoint = https://e/{name}\nbogus = 1\n", encoding="utf-8")
-    with pytest.raises(AdapterConfigError, match="bogus"):
-        parse_adapter_config(path)
+    # max_in_flight and batch_limit were keys once: fetches are now serial and stored in fixed chunks
+    for line in ("bogus = 1", "max_in_flight = 2", "batch_limit = 10"):
+        path.write_text(f"id = x\nendpoint = https://e/{{name}}\n{line}\n", encoding="utf-8")
+        with pytest.raises(AdapterConfigError, match=f"unknown config key '{line.split()[0]}'"):
+            parse_adapter_config(path)
 
 
 # --- HTTP adapter ----------------------------------------------------------------
@@ -426,18 +433,16 @@ def test_rate_limiter_bounds_sliding_window():
 
 
 class RecordingLimiter(RateLimiter):
-    """Stamps each grant with the clock before acquire releases the lock, so no
-    delay after acquire returns (as in a session that stamps its calls) moves it."""
+    """Stamps each grant with the clock as acquire returns, so no delay after it
+    (as in a session that stamps its calls) moves it."""
 
     def __init__(self, rate_per_second: float) -> None:
         super().__init__(rate_per_second)
-        self._lock = threading.RLock()  # re-entered by the acquire this one wraps
         self.grants: list[float] = []
 
     def acquire(self) -> None:
-        with self._lock:
-            super().acquire()
-            self.grants.append(time.monotonic())
+        super().acquire()
+        self.grants.append(time.monotonic())
 
 
 def test_adapter_dispatch_respects_rate_limit(monkeypatch):
@@ -454,32 +459,6 @@ def test_adapter_dispatch_respects_rate_limit(monkeypatch):
     # dispatches are spaced at least the limiter interval apart
     gaps = [b - a for a, b in zip(times, times[1:])]
     assert min(gaps) >= (1.0 / 200.0) * 0.5
-
-
-def test_adapter_concurrent_width_keeps_order_and_rate(monkeypatch):
-    monkeypatch.setattr("namegender.inferrers.RateLimiter", RecordingLimiter)
-
-    def handler(url):
-        name = url.rsplit("=", 1)[1]
-        label = "female" if name.endswith(("0", "2", "4")) else "male"
-        return FakeResponse(200, json.dumps({"gender": label, "accuracy": 90}))
-
-    session = FakeSession(handler)
-    config = adapter_config(rate_limit=300.0, max_in_flight=4)
-    adapter = HttpAdapter(config, session=session)
-    names = [f"n{i}" for i in range(40)]
-    preds = adapter.infer_batch(names)
-    assert len(preds) == 40
-    for name, pred in zip(names, preds):
-        expected = GenderLabel.FEMALE if name.endswith(("0", "2", "4")) else GenderLabel.MALE
-        assert pred.label is expected
-    times = sorted(t for t, _ in session.calls)
-    for i, start in enumerate(times):
-        assert sum(1 for t in times[i:] if t - start < 1.0) <= 300
-    # the four workers share one limiter, whose grants stay the interval apart
-    grants = adapter._limiter.grants
-    assert len(grants) == 40
-    assert min(b - a for a, b in zip(grants, grants[1:])) >= (1.0 / 300.0) * 0.5
 
 
 def test_adapter_does_not_cache_unmappable_response(tmp_path):
@@ -516,15 +495,14 @@ def test_adapter_stores_long_names(tmp_path):
     assert replay.calls == []
 
 
-@pytest.mark.parametrize("max_in_flight", [1, 2])
-def test_adapter_fills_a_cache_dir_that_does_not_exist_yet(tmp_path, max_in_flight):
+def test_adapter_fills_a_cache_dir_that_does_not_exist_yet(tmp_path):
     cache_dir = tmp_path / "not" / "yet"
     bodies = {"anna": {"gender": "female", "accuracy": 90}, "bo": {"gender": "male", "accuracy": 80}}
 
     def handler(url):
         return FakeResponse(200, json.dumps(bodies[url.rsplit("=", 1)[1]]))
 
-    config = adapter_config(cache_dir=str(cache_dir), max_in_flight=max_in_flight)
+    config = adapter_config(cache_dir=str(cache_dir))
     preds = HttpAdapter(config, session=FakeSession(handler)).infer_batch(["anna", "bo"])
     assert [p.label for p in preds] == [GenderLabel.FEMALE, GenderLabel.MALE]
     assert stored(cache_dir) == {name: json.dumps(body) for name, body in bodies.items()}
@@ -548,13 +526,14 @@ def test_adapter_refetches_a_stored_response_that_no_longer_maps(tmp_path):
     assert replay.calls == []
 
 
-def test_adapter_stores_each_chunk_before_fetching_the_next(tmp_path):
+def test_adapter_stores_each_chunk_before_fetching_the_next(tmp_path, monkeypatch):
     def handler(url):
         if url.endswith("=n2"):
             raise RuntimeError("crash")  # not a per-name failure: it ends the batch
         return FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90}))
 
-    config = adapter_config(cache_dir=str(tmp_path), batch_limit=2)
+    monkeypatch.setattr("namegender.inferrers._STORE_CHUNK", 2)
+    config = adapter_config(cache_dir=str(tmp_path))
     with pytest.raises(RuntimeError, match="crash"):
         HttpAdapter(config, session=FakeSession(handler)).infer_batch(["n0", "n1", "n2", "n3"])
     assert sorted(stored(tmp_path)) == ["n0", "n1"]
