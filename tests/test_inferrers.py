@@ -293,7 +293,7 @@ def test_parse_adapter_config(tmp_path):
 
 def test_parse_adapter_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "svc.conf"
-    # max_in_flight and batch_limit were keys once: fetches are now serial and stored in fixed chunks
+    # removed keys fail like any other unknown key
     for line in ("bogus = 1", "max_in_flight = 2", "batch_limit = 10"):
         path.write_text(f"id = x\nendpoint = https://e/{{name}}\n{line}\n", encoding="utf-8")
         with pytest.raises(AdapterConfigError, match=f"unknown config key '{line.split()[0]}'"):
