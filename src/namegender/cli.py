@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import logging
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO
@@ -80,6 +78,8 @@ class RunManifest:
 
 
 def _sha256(path: str | Path) -> str:
+    import hashlib  # loads OpenSSL (about 3.6 MB of RSS), which only a manifest needs
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
@@ -94,6 +94,8 @@ def _write_manifest(
     inputs: Sequence[str | Path] = (),
     configs: Sequence[str | Path] = (),
 ) -> None:
+    from datetime import datetime, timezone  # about 0.6 MB of RSS, which only the timestamp needs
+
     manifest = RunManifest(
         command=list(args._argv),
         seed=args.seed,

@@ -196,11 +196,6 @@ class CsvSchema:
     count_column: str | None = None
 
 
-# A raw row: (name, gender tag, count text or None for a count of 1), or
-# the message for a row that could not be split into fields.
-_Row = tuple[str, str, str | None] | str
-
-
 def _shared_counts(counts: dict) -> dict[str, GenderCounts]:
     """Turn name -> (female, male, ...) into name -> GenderCounts in place, one object per distinct pair."""
     shared: dict[tuple[int, int], GenderCounts] = {}
@@ -225,54 +220,32 @@ def _check_spellings(sums: dict[str, tuple[int, int, int]], rejections: Counter[
     return _shared_counts(sums)
 
 
-def _accumulate(
-    rows: Iterable[tuple[int, str, _Row]],
-    report: IngestReport,
-) -> dict[str, GenderCounts]:
-    """Sum per-name counts of (line number, message prefix, row) items.
-
-    Every row is counted in report, and every dropped row is tallied there
-    by reason; the prefix starts the messages of malformed rows. Rows are
-    summed under their name's spelling, each distinct spelling is checked
-    once at the end, and each distinct gender tag is looked up once.
-    """
+def _accumulate(groups: Iterable[tuple[str, str, int, int]], report: IngestReport) -> dict[str, GenderCounts]:
+    """Sum per-name counts of (raw name, gender tag, count, rows) groups of well-formed rows into report's
+    tallies, whose malformed list holds every other row. Groups are summed under their name's spelling, each
+    distinct spelling is checked once at the end, and each distinct gender tag is looked up once."""
     sums: dict[str, tuple[int, int, int]] = {}  # spelling -> (female, male, rows)
     first_sums: dict[tuple[int, int, int], tuple[int, int, int]] = {}  # a name's first sums, shared per value
     # raw gender tag -> slot index (0 female, 1 male), or None if unmappable
     sides: dict[str, int | None] = {}
-    total = summed = unmappable = 0
-    for line_no, where, row in rows:
-        total += 1
-        if isinstance(row, str):
-            report.malformed.append((line_no, where + row))
-            continue
-        raw_name, tag, raw_count = row
-        count = 1
-        if raw_count is not None:
-            try:
-                count = int(raw_count)
-            except ValueError:
-                report.malformed.append((line_no, f"{where}bad count {raw_count!r}"))
-                continue
-            if count < 1:
-                report.malformed.append((line_no, f"{where}count {count} < 1"))
-                continue
+    summed = unmappable = 0
+    for raw_name, tag, count, rows in groups:
         side = sides.get(tag, -1)
         if side == -1:
             gender = DEFAULT_GENDER_ALIASES.get(tag.strip().lower())
             side = sides[tag] = None if gender is None else 0 if gender == "female" else 1
         if side is None:
-            unmappable += 1
+            unmappable += rows
             continue
         spelling = _spelling(raw_name)
         female, male, seen = sums.get(spelling, (0, 0, 0))
-        slot = (female + count, male, seen + 1) if side == 0 else (female, male + count, seen + 1)
+        slot = (female + count, male, seen + rows) if side == 0 else (female, male + count, seen + rows)
         sums[spelling] = slot if seen else first_sums.setdefault(slot, slot)
-        summed += 1
+        summed += rows
     rejections: Counter[Rejection] = Counter()
     entries = _check_spellings(sums, rejections)
     report.rejections.update(rejections)
-    report.total_rows += total
+    report.total_rows += summed + unmappable + len(report.malformed)
     report.retained += summed - rejections.total()
     report.unmappable_gender += unmappable
     return entries
@@ -310,17 +283,28 @@ def ingest_labeled_csv(
         name_at, gender_at = positions[schema.name_column], positions[schema.gender_column]
         count_at = positions.get(schema.count_column)
 
-        def rows() -> Iterator[tuple[int, str, _Row]]:
+        def groups() -> Iterator[tuple[str, str, int, int]]:
+            """One group per well-formed row: the rows of a CSV file are mostly distinct."""
             for row in reader:
                 if not row or (len(row) == 1 and not row[0].strip()):  # blank or whitespace-only line
                     continue
                 if max(name_at, gender_at) >= len(row):
-                    yield reader.line_num, "", "row has too few fields"
+                    report.malformed.append((reader.line_num, "row has too few fields"))
                     continue
-                raw_count = None if count_at is None else row[count_at] if count_at < len(row) else ""
-                yield reader.line_num, "", (row[name_at], row[gender_at], raw_count)
+                count = 1
+                if count_at is not None:
+                    text = row[count_at] if count_at < len(row) else ""
+                    try:
+                        count = int(text)
+                    except ValueError:
+                        report.malformed.append((reader.line_num, f"bad count {text!r}"))
+                        continue
+                    if count < 1:
+                        report.malformed.append((reader.line_num, f"count {count} < 1"))
+                        continue
+                yield row[name_at], row[gender_at], count, 1
 
-        entries = _accumulate(rows(), report)
+        entries = _accumulate(groups(), report)
 
     if not entries:
         detail = ""
@@ -349,21 +333,39 @@ def ingest_ssa_years(
     source = source_id if source_id is not None else f"ssa{min(years)}-{max(years)}"
     report = IngestReport(source=source)
 
-    def rows() -> Iterator[tuple[int, str, _Row]]:
-        for year in years:
-            path = directory / f"yob{year}.txt"
-            if not path.exists():
-                report.missing_years.append(year)
-                logger.warning("missing SSA year file: %s", path)
-                continue
-            where = f"{path.name}: "
-            with path.open(encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    parts = line.strip().split(",")
-                    if parts != [""]:
-                        yield line_no, where, tuple(parts) if len(parts) == 3 else "expected 3 fields"
-
-    entries = _accumulate(rows(), report)
+    # "raw name,raw gender tag" -> [count, rows]: a pair recurs in most years, so it is spelled once. One key
+    # string, not a (name, tag) tuple, saves about 0.5 MB on 6.6k pairs, so ingest peaks below stats and combine.
+    groups: dict[str, list[int]] = {}
+    for year in years:
+        path = directory / f"yob{year}.txt"
+        if not path.exists():
+            report.missing_years.append(year)
+            logger.warning("missing SSA year file: %s", path)
+            continue
+        where = f"{path.name}: "
+        with path.open(encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                pair, _, text = line.rpartition(",")
+                if pair.count(",") != 1:  # not 3 fields
+                    if line:
+                        report.malformed.append((line_no, where + "expected 3 fields"))
+                    continue
+                try:
+                    count = int(text)
+                except ValueError:
+                    report.malformed.append((line_no, f"{where}bad count {text!r}"))
+                    continue
+                if count < 1:
+                    report.malformed.append((line_no, f"{where}count {count} < 1"))
+                    continue
+                group = groups.get(pair)
+                if group is None:
+                    groups[pair] = [count, 1]
+                else:
+                    group[0] += count
+                    group[1] += 1
+    entries = _accumulate(((*pair.split(","), count, rows) for pair, (count, rows) in groups.items()), report)
     if not entries:
         raise EmptyCorpusError(f"{directory}: no records retained for years {years[0]}-{years[-1]}")
     return FrequencyTable(entries, NameType.FIRST, source), report
@@ -394,11 +396,17 @@ def to_first_names(table: FrequencyTable) -> FrequencyTable:
     """
     if table.name_type is NameType.FIRST:
         return table
-    firsts: dict[str, tuple[int, int, int]] = {}  # first token's spelling -> (female, male, number of full names)
+    # raw first token -> (female, male, number of full names): a token starts many full names, so it is spelled once
+    tokens: dict[str, tuple[int, int, int]] = {}
     for full, gc in table.entries.items():
-        first = _spelling(split_full_name(full)[0])
-        female, male, fulls = firsts.get(first, (0, 0, 0))
-        firsts[first] = (female + gc.female, male + gc.male, fulls + 1)
+        token = split_full_name(full)[0]
+        female, male, fulls = tokens.get(token, (0, 0, 0))
+        tokens[token] = (female + gc.female, male + gc.male, fulls + 1)
+    firsts: dict[str, tuple[int, int, int]] = {}  # first token's spelling -> (female, male, number of full names)
+    for token, (female, male, fulls) in tokens.items():
+        first = _spelling(token)
+        f, m, n = firsts.get(first, (0, 0, 0))
+        firsts[first] = (f + female, m + male, n + fulls)
     dropped: Counter[Rejection] = Counter()
     entries = _check_spellings(firsts, dropped)
     if dropped:

@@ -356,7 +356,7 @@ class HttpAdapter(Inferrer):
                 last_error = exc
                 continue
             self._reached = True  # any status shows the endpoint answers
-            if response.status_code >= 500:
+            if response.status_code >= 500 or response.status_code == 429:  # a server fault, or throttling
                 last_error = RuntimeError(f"HTTP {response.status_code}")
                 continue
             if response.status_code != 200:

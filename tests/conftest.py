@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import os
 import random
 import string
 import time
 
 import pytest
+from hypothesis import settings
 
 from namegender.corpus import FrequencyTable, GenderCounts, NameType
+
+# CI runs HYPOTHESIS_PROFILE=ci: the same examples every run, and a failure prints the blob that replays it.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 VOWELS = "aeiou"
 CONSONANTS = "".join(c for c in string.ascii_lowercase if c not in VOWELS)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -407,6 +408,28 @@ def test_infer_from_stdin_answers_each_block_before_stdin_closes(tmp_path):
             assert child.wait(timeout=60) == 0
         finally:
             child.kill()
+
+
+def test_hashlib_and_datetime_are_imported_only_to_write_a_manifest(tmp_path):
+    model = tmp_path / "t.model.tsv"
+    save_model(train(FrequencyTable({"mary": GenderCounts(95, 5)}, NameType.FIRST, "t"), 0.9), model)
+    script = (
+        "import sys\n"
+        "from namegender.cli import main\n"
+        f"code = main(['infer', '-', '--model', {str(model)!r}])\n"
+        "print(code, *(module in sys.modules for module in ('hashlib', '_hashlib', 'datetime')), file=sys.stderr)\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], input="mary\n", capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.splitlines()[1] == "mary\tfemale\t0.950000\tmle:t"
+    assert done.stderr.split() == ["0", "False", "False", "False"]
+    names = tmp_path / "names.txt"
+    names.write_text("mary\n", encoding="utf-8")
+    assert run("infer", str(names), "--model", str(model), "--out", str(tmp_path / "out" / "pred.tsv")) == 0
+    manifest = json.loads((tmp_path / "out" / "infer.manifest.json").read_text(encoding="utf-8"))
+    digests = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (names, model)}
+    assert {**manifest["input_digests"], **manifest["config_digests"]} == digests
 
 
 @pytest.mark.parametrize("text", ["", "\n", "  \t\r\n\r\u3000\n \x0b"])

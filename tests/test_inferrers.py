@@ -379,7 +379,7 @@ def test_adapter_connection_error_after_success_degrades():
     assert preds[1].label is GenderLabel.UNKNOWN
 
 
-@pytest.mark.parametrize("status", [404, 503])
+@pytest.mark.parametrize("status", [404, 429, 503])
 def test_adapter_connection_error_after_an_error_status_degrades(status):
     # any HTTP response, whatever its status, shows the endpoint is reachable
     def handler(url):
@@ -401,6 +401,17 @@ def test_adapter_retries_server_errors():
     adapter = HttpAdapter(adapter_config(), session=FakeSession(handler))
     assert adapter.infer("anna").label is GenderLabel.MALE
     assert state["calls"] == 2
+
+
+def test_adapter_retries_when_throttled():
+    statuses = iter([429, 200])
+
+    def handler(url):
+        return FakeResponse(next(statuses), json.dumps({"gender": "female", "accuracy": 90}))
+
+    session = FakeSession(handler)
+    assert HttpAdapter(adapter_config(max_attempts=3), session=session).infer("anna").label is GenderLabel.FEMALE
+    assert len(session.calls) == 2
 
 
 def test_adapter_caches_raw_responses(tmp_path):

@@ -88,7 +88,8 @@ def respelled_rows(draw, max_size):
     named = [row for row in rows if row]
     for _ in range(draw(st.integers(0, len(named) and max_size // 2))):
         row = draw(st.sampled_from(named))
-        rows.insert(draw(st.integers(0, len(rows))), (draw(VARIANTS)(row[0]), *row[1:]))
+        tag = row[1:2] if len(row) < 2 or draw(st.booleans()) else (draw(TAGS),)  # some copies change the tag
+        rows.insert(draw(st.integers(0, len(rows))), (draw(VARIANTS)(row[0]), *tag, *row[2:]))
     return rows
 
 
@@ -136,6 +137,14 @@ def _check_ingest(ingest, expected_counts, expected_report):
 
 @settings(deadline=None)
 @given(st.lists(respelled_rows(30), min_size=1, max_size=3))
+# a (name, tag) pair repeated in one file; one raw name under both tags and an unmappable one; case and space
+# variants across years; malformed lines between them
+@example([
+    [("Anna", "F", "3"), ("Anna", "F"), ("Anna", "F", "2"), ("Anna", "M", "1"), ("Anna", "F", "x"), ("Anna", "Q", "4"),
+     ("Anna", "F", "0"), ("Mr", "M", "2"), ("Mr", "M", "5")],
+    [(" ANNA ", "F", "5"), (), ("an na", "F", "1"), ("An  Na", "F", "-2"), ("", ""), ("an na", "M", "2"),
+     ("anna", "F", "1", "1")],
+])
 def test_ssa_ingest_matches_per_row_reference(files):
     years = range(2000, 2001 + len(files))  # 2001 has no file
     rows = []
@@ -594,9 +603,9 @@ def test_to_first_names_matches_the_list_building_version(caplog, full):
 
 
 # What the fake endpoint does with one request: "bad" is a 200 that does not parse, "odd" one that does not map.
-OUTCOMES = st.sampled_from(["refused", "timeout", "503", "404", "bad", "odd", "ok"])
+OUTCOMES = st.sampled_from(["refused", "timeout", "503", "429", "404", "bad", "odd", "ok"])
 TRANSPORT_FAILURES = {"refused", "timeout"}
-RETRIED = TRANSPORT_FAILURES | {"503"}
+RETRIED = TRANSPORT_FAILURES | {"503", "429"}
 # Each name's good response and the prediction it maps to.
 GOOD = {
     "anna": ("female", Prediction(GenderLabel.FEMALE, 1.0, "svc")),
@@ -626,7 +635,7 @@ class ScriptedSession:
             raise requests.ConnectionError("refused")
         if outcome == "timeout":
             raise requests.Timeout("timed out")
-        if outcome in ("503", "404"):
+        if outcome in ("503", "429", "404"):
             return FakeResponse(int(outcome))
         return FakeResponse(200, {"bad": "<html>", "odd": '{"gender": "nonbinary"}'}.get(outcome) or _good_text(name))
 
@@ -663,7 +672,7 @@ def test_http_adapter_degrades_per_name_and_stores_only_what_maps(names, scripts
             preds = None
         # unreachable only when no request has yet received any HTTP response, and then always
         assert (preds is None) == _gave_up_unreached(session.calls, max_attempts)
-        # at most max_attempts fetches per distinct name; a retry follows a transport failure or a 5xx, and only those
+        # at most max_attempts fetches per distinct name; only a transport failure, a 5xx or a 429 is retried
         tries = defaultdict(list)
         for name, outcome in session.calls:
             tries[name].append(outcome)
