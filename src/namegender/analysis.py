@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .evaluation import LabeledTestSet, RateType, rate_type
 from .mle import Prediction
@@ -85,8 +84,7 @@ def extract_ngrams(name: str, n: int) -> list[str]:
     return [name[i : i + n] for i in range(len(name) - n + 1)]
 
 
-@dataclass(frozen=True)
-class NgramInventory:
+class NgramInventory(NamedTuple):
     """Distinct grams of the true and false categories and their overlap."""
 
     n: int

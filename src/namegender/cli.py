@@ -15,7 +15,6 @@ import contextlib
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO
@@ -32,6 +31,7 @@ from .ensemble import (
 )
 from .inferrers import (
     AdapterUnreachableError,
+    ExternalAdapterConfig,
     HttpAdapter,
     Inferrer,
     MleInferrer,
@@ -62,21 +62,6 @@ _CONFIG_KEYS = {
 }
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written alongside every output artifact."""
-
-    command: list[str]
-    seed: int | None
-    tool_version: str
-    timestamp: str
-    input_digests: dict[str, str] = field(default_factory=dict)
-    config_digests: dict[str, str] = field(default_factory=dict)
-
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _sha256(path: str | Path) -> str:
     import hashlib  # loads OpenSSL (about 3.6 MB of RSS), which only a manifest needs
 
@@ -96,15 +81,15 @@ def _write_manifest(
 ) -> None:
     from datetime import datetime, timezone  # about 0.6 MB of RSS, which only the timestamp needs
 
-    manifest = RunManifest(
-        command=list(args._argv),
-        seed=args.seed,
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        input_digests={str(p): _sha256(p) for p in inputs},
-        config_digests={str(p): _sha256(p) for p in configs},
-    )
-    manifest.write(out_dir / f"{name}.manifest.json")
+    manifest = {
+        "command": list(args._argv),
+        "seed": args.seed,
+        "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "input_digests": {str(p): _sha256(p) for p in inputs},
+        "config_digests": {str(p): _sha256(p) for p in configs},
+    }
+    (out_dir / f"{name}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # --- inferrer specs -----------------------------------------------------------
@@ -190,7 +175,8 @@ def build_inferrer(
     if kind == "twostage":
         return _build_twostage(arg, id, config_paths, models)
     config = parse_adapter_config(arg)
-    return HttpAdapter(config if id is None else replace(config, id=id))
+    # _replace would skip the config's checks
+    return HttpAdapter(config if id is None else ExternalAdapterConfig(**{**config._asdict(), "id": id}))
 
 
 # --- commands -----------------------------------------------------------------
@@ -278,7 +264,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     tables = [corpus.read_table(p) for p in args.tables]
     document: dict[str, list[dict]] = {
         "datasets": [
-            {"source_id": t.source_id, "name_type": t.name_type.value, **vars(corpus.dataset_stats(t))}
+            {"source_id": t.source_id, "name_type": t.name_type.value, **corpus.dataset_stats(t)._asdict()}
             for t in tables
         ]
     }

@@ -26,10 +26,9 @@ import csv
 import logging
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -74,8 +73,7 @@ class TableParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class GenderCounts:
+class GenderCounts(NamedTuple):
     """Female/male occurrence tallies for one normalized name."""
 
     female: int
@@ -90,7 +88,6 @@ class GenderCounts:
         return self.female >= 1 and self.male >= 1
 
 
-@dataclass
 class FrequencyTable:
     """Normalized name -> GenderCounts, plus corpus metadata.
 
@@ -100,29 +97,35 @@ class FrequencyTable:
     and nothing depends on which object a name holds.
     """
 
-    entries: dict[str, GenderCounts]
-    name_type: NameType
-    source_id: str
+    def __init__(self, entries: dict[str, GenderCounts], name_type: NameType, source_id: str) -> None:
+        self.entries = entries
+        self.name_type = name_type
+        self.source_id = source_id
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is FrequencyTable and vars(self) == vars(other)
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-@dataclass
 class IngestReport:
     """What ingestion kept, dropped, and why."""
 
-    source: str
-    total_rows: int = 0
-    retained: int = 0
-    rejections: Counter[Rejection] = field(default_factory=Counter)
-    unmappable_gender: int = 0
-    malformed: list[tuple[int, str]] = field(default_factory=list)
-    missing_years: list[int] = field(default_factory=list)
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.total_rows = 0
+        self.retained = 0
+        self.rejections: Counter[Rejection] = Counter()
+        self.unmappable_gender = 0
+        self.malformed: list[tuple[int, str]] = []
+        self.missing_years: list[int] = []
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is IngestReport and vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
-class DatasetStats:
+class DatasetStats(NamedTuple):
     total_names: int
     unique_names: int
     unique_first: int
@@ -130,8 +133,7 @@ class DatasetStats:
     ambiguous: int
 
 
-@dataclass(frozen=True)
-class AmbiguityHistogram:
+class AmbiguityHistogram(NamedTuple):
     """Binned distribution of p(female) over a table's ambiguous names."""
 
     bin_edges: tuple[float, ...]
@@ -187,8 +189,7 @@ def split_full_name(full: str) -> tuple[str, str]:
     return first, last
 
 
-@dataclass(frozen=True)
-class CsvSchema:
+class CsvSchema(NamedTuple):
     """Column mapping for a labeled CSV corpus (header row required)."""
 
     name_column: str

@@ -11,8 +11,7 @@ and a tie yields unknown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .inferrers import Inferrer, MleInferrer
 from .mle import GenderLabel, MleModel, Prediction
@@ -20,23 +19,29 @@ from .mle import GenderLabel, MleModel, Prediction
 DEFAULT_DEFER_BAND = (0.25, 0.75)
 
 
-@dataclass(frozen=True)
-class TwoStageConfig:
+class _TwoStageFields(NamedTuple):
     primary: MleModel
     fallback: Inferrer
     defer_band: tuple[float, float] = DEFAULT_DEFER_BAND
 
-    def __post_init__(self) -> None:
+
+class TwoStageConfig(_TwoStageFields):
+    __slots__ = ()
+
+    def __init__(self, *fields: object, **named: object) -> None:
         lo, hi = self.defer_band
         if not 0.0 <= lo < hi <= 1.0:
             raise ValueError(f"bad defer band [{lo}, {hi}]")
 
 
-@dataclass(frozen=True)
-class VotingConfig:
+class _VotingFields(NamedTuple):
     voters: tuple[Inferrer, Inferrer, Inferrer]
 
-    def __post_init__(self) -> None:
+
+class VotingConfig(_VotingFields):
+    __slots__ = ()
+
+    def __init__(self, *fields: object, **named: object) -> None:
         if len(self.voters) != 3:
             raise ValueError("voting requires exactly 3 voters")
         ids = [v.id for v in self.voters]

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import FrequencyTable, TableParseError, _breaks_line
 from .inferrers import Inferrer
@@ -31,14 +30,17 @@ class SplitDegenerateError(ValueError):
     """The requested split leaves train or test empty."""
 
 
-@dataclass(frozen=True)
-class LabeledTestSet:
-    """Unique names with a single observed gender each."""
-
+class _TestSetFields(NamedTuple):
     id: str
     names: tuple[tuple[str, GenderLabel], ...]
 
-    def __post_init__(self) -> None:
+
+class LabeledTestSet(_TestSetFields):
+    """Unique names with a single observed gender each."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object, **named: object) -> None:
         seen = set()
         for name, observed in self.names:
             if observed not in (GenderLabel.FEMALE, GenderLabel.MALE):
@@ -52,8 +54,7 @@ class LabeledTestSet:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     train: FrequencyTable
     test: LabeledTestSet
     ties: tuple[str, ...]
@@ -99,8 +100,7 @@ def split_dataset(table: FrequencyTable, test_fraction: float, seed: int) -> Spl
     return SplitResult(train=train, test=test, ties=tuple(ties))
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     """Outcome tallies under the female-positive convention.
 
     Undecided predictions are split by observed gender because recall
@@ -169,8 +169,7 @@ def score(testset: LabeledTestSet, predictions: Sequence[Prediction]) -> Confusi
     )
 
 
-@dataclass(frozen=True)
-class MetricValues:
+class MetricValues(NamedTuple):
     """Percentages; None marks a metric whose denominator was zero."""
 
     accuracy: float | None
@@ -215,8 +214,7 @@ def aggregate(per_dataset: Iterable[tuple[float | None, int]]) -> float | None:
     return float(num / den) if den else None
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     inferrer_id: str
     dataset_id: str
     size: int
@@ -228,12 +226,12 @@ class ReportRow:
 _METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "gbe")
 
 
-@dataclass
 class MetricsReport:
     """Per-dataset rows plus one size-weighted aggregate row per inferrer."""
 
-    rows: list[ReportRow]
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, rows: list[ReportRow], notes: list[str] | None = None) -> None:
+        self.rows = rows
+        self.notes = [] if notes is None else notes
 
     def inferrer_ids(self) -> list[str]:
         return list(dict.fromkeys(row.inferrer_id for row in self.rows))
@@ -252,7 +250,7 @@ class MetricsReport:
             agg, covered = self.aggregate_for(inferrer_id)
             rows = [r for r in self.rows if r.inferrer_id == inferrer_id]
             for row in rows + [ReportRow(inferrer_id, "ALL", covered, None, agg)]:
-                values = asdict(row.values) if row.values else dict.fromkeys(_METRIC_KEYS)
+                values = row.values._asdict() if row.values else dict.fromkeys(_METRIC_KEYS)
                 yield {
                     "inferrer": row.inferrer_id,
                     "dataset": row.dataset_id,

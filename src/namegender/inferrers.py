@@ -16,9 +16,9 @@ import os
 import time
 from abc import ABC, abstractmethod
 from contextlib import closing
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .corpus import GenderCounts
@@ -195,10 +195,7 @@ def map_external_label(
     return Prediction(label, p_female, source)
 
 
-@dataclass(frozen=True)
-class ExternalAdapterConfig:
-    """Everything needed to talk to one external inference service."""
-
+class _AdapterFields(NamedTuple):
     id: str
     endpoint: str
     credential_env: str | None = None
@@ -209,11 +206,18 @@ class ExternalAdapterConfig:
     label_path: str = "gender"
     confidence_path: str | None = None
     confidence_scale: str = "unit"
-    label_aliases: Mapping[str, GenderLabel] = field(default_factory=lambda: dict(DEFAULT_LABEL_ALIASES))
+    # every config without aliases holds this one object, so it is read-only
+    label_aliases: Mapping[str, GenderLabel] = MappingProxyType(DEFAULT_LABEL_ALIASES)
     default_label: GenderLabel | None = None
     cache_dir: str | None = None
 
-    def __post_init__(self) -> None:
+
+class ExternalAdapterConfig(_AdapterFields):
+    """Everything needed to talk to one external inference service."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object, **named: object) -> None:
         if self.rate_limit <= 0:
             raise AdapterConfigError("rate_limit must be positive")
         if self.max_attempts < 1:
@@ -229,8 +233,9 @@ class ExternalAdapterConfig:
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Parse a `key = value` config file; # starts a comment line."""
+    """Parse a `key = value` config file; # starts a comment line, and a key may appear once."""
     fields: dict[str, str] = {}
+    first_lines: dict[str, int] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -238,7 +243,11 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{line_no}: expected key = value")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_lines:
+            raise ValueError(f"{path}:{line_no}: key {key!r} repeated (first at line {first_lines[key]})")
+        first_lines[key] = line_no
+        fields[key] = value.strip()
     return fields
 
 

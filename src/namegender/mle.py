@@ -9,9 +9,9 @@ is ambiguous at every tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import (
     FrequencyTable,
@@ -31,15 +31,20 @@ class GenderLabel(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """One inference outcome: label, p(female), and which inferrer said so."""
-
+class _PredictionFields(NamedTuple):
     label: GenderLabel
     p_female: float | None
     source: str
 
-    def __post_init__(self) -> None:
+
+# typing.NamedTuple takes no __init__ in its own body, so a record with checks is a
+# subclass whose __init__ checks the fields that the tuple's __new__ has set.
+class Prediction(_PredictionFields):
+    """One inference outcome: label, p(female), and which inferrer said so."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object, **named: object) -> None:
         if self.label is GenderLabel.UNKNOWN:
             if self.p_female is not None:
                 raise ValueError("unknown predictions carry no probability")
@@ -62,8 +67,7 @@ def mle_female(counts: GenderCounts) -> float:
     return counts.female / total
 
 
-@dataclass(frozen=True)
-class MleModel:
+class MleModel(NamedTuple):
     """Immutable trained model; classify is safe under concurrent calls."""
 
     table: FrequencyTable

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from namegender import cli
 from namegender.corpus import FrequencyTable, GenderCounts, NameType, pairwise_overlap, read_table
-from namegender.inferrers import HttpAdapter, parse_adapter_config
+from namegender.inferrers import AdapterConfigError, HttpAdapter, parse_adapter_config
 from namegender.mle import load_model, save_model, train
 
 from conftest import FakeResponse, FakeSession
@@ -69,6 +69,7 @@ def test_ingest_writes_table_report_and_manifest(corpus_csv, tmp_path):
     report = (out / "tiny.ingest-report.tsv").read_text(encoding="utf-8")
     assert "retained\t10" in report
     manifest = json.loads((out / "ingest.manifest.json").read_text(encoding="utf-8"))
+    assert sorted(manifest) == ["command", "config_digests", "input_digests", "seed", "timestamp", "tool_version"]
     assert str(corpus_csv) in manifest["input_digests"]
     assert manifest["tool_version"]
 
@@ -410,20 +411,22 @@ def test_infer_from_stdin_answers_each_block_before_stdin_closes(tmp_path):
             child.kill()
 
 
-def test_hashlib_and_datetime_are_imported_only_to_write_a_manifest(tmp_path):
+def test_one_name_infer_imports_neither_manifest_modules_nor_dataclasses(tmp_path):
     model = tmp_path / "t.model.tsv"
     save_model(train(FrequencyTable({"mary": GenderCounts(95, 5)}, NameType.FIRST, "t"), 0.9), model)
+    # hashlib and datetime only write a manifest; dataclasses (with inspect and ast) would generate code per record
+    unused = ("hashlib", "_hashlib", "datetime", "dataclasses", "inspect", "ast")
     script = (
         "import sys\n"
         "from namegender.cli import main\n"
         f"code = main(['infer', '-', '--model', {str(model)!r}])\n"
-        "print(code, *(module in sys.modules for module in ('hashlib', '_hashlib', 'datetime')), file=sys.stderr)\n"
+        f"print(code, *(module in sys.modules for module in {unused!r}), file=sys.stderr)\n"
     )
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", script], input="mary\n", capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert done.stdout.splitlines()[1] == "mary\tfemale\t0.950000\tmle:t"
-    assert done.stderr.split() == ["0", "False", "False", "False"]
+    assert done.stderr.split() == ["0", *["False"] * len(unused)]
     names = tmp_path / "names.txt"
     names.write_text("mary\n", encoding="utf-8")
     assert run("infer", str(names), "--model", str(model), "--out", str(tmp_path / "out" / "pred.tsv")) == 0
@@ -631,8 +634,13 @@ def test_http_spec_id_names_the_adapter_its_config_and_its_store(tmp_path, monke
     monkeypatch.setattr("requests.Session", lambda: FakeSession(http_body))
     adapter = cli.build_inferrer(f"x=http:{conf}")
     assert adapter.id == adapter.config.id == "x"
+    assert adapter.config._replace(id="svc") == parse_adapter_config(conf)
     assert adapter.infer("ana").source == "x"
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["x.sqlite"]
+    # the renamed copy is checked as a parsed config is: _replace builds an unchecked one
+    monkeypatch.setattr(cli, "parse_adapter_config", lambda path: parse_adapter_config(path)._replace(timeout=0.0))
+    with pytest.raises(AdapterConfigError, match="timeout must be positive"):
+        cli.build_inferrer(f"x=http:{conf}")
 
 
 def test_eval_structured_format(tmp_path):

@@ -261,10 +261,35 @@ def test_adapter_config_rejects_non_positive_timeout():
             adapter_config(timeout=timeout)
 
 
+@pytest.mark.parametrize("record, field", [
+    (Prediction(GenderLabel.FEMALE, 0.9, "s"), "p_female"),  # one object answers many names
+    (GenderCounts(3, 1), "female"),  # one object per count pair of a table
+    (adapter_config(), "rate_limit"),
+])
+def test_records_are_read_only(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
 def test_parse_kv_file(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("# comment\nkey = value\nother=1\n\n", encoding="utf-8")
     assert parse_kv_file(path) == {"key": "value", "other": "1"}
+
+
+@pytest.mark.parametrize("first, again", [
+    ("label.female = f, woman", "label.female = girl"),
+    ("rate_limit = 5", "rate_limit = 0.5"),
+])
+def test_parse_adapter_config_refuses_a_repeated_key(tmp_path, first, again):
+    path = tmp_path / "svc.conf"
+    path.write_text(f"id = x\n{first}\n# comment\nendpoint = https://e/{{name}}\n{again}\n", encoding="utf-8")
+    key = first.split()[0]
+    with pytest.raises(ValueError) as error:
+        parse_adapter_config(path)
+    assert str(error.value) == f"{path}:5: key {key!r} repeated (first at line 2)"
 
 
 def test_parse_adapter_config(tmp_path):
