@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ingest, combine, stats, split, train, infer, eval, analyze.
-Every command that writes artifacts also writes a run manifest (command
-line, input digests, seed, version, timestamp) next to them. All
+Every command that writes artifacts returns what main needs to write a run
+manifest (command line, input digests, seed, version, timestamp) next to them. All
 randomness flows through the single --seed value recorded in the manifest,
 so any command is byte-reproducible from identical inputs and seed; the
 manifest itself is the only file carrying a timestamp.
@@ -61,6 +61,9 @@ _CONFIG_KEYS = {
     "bins": (int, None),
 }
 
+# A command's (out_dir, name, inputs, configs): main writes the run manifest once the command's data is freed
+_Manifest = tuple[Path, str, Sequence[str | Path], Sequence[str | Path]]
+
 
 def _sha256(path: str | Path) -> str:
     import hashlib  # loads OpenSSL (about 3.6 MB of RSS), which only a manifest needs
@@ -72,16 +75,11 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    args: argparse.Namespace,
-    out_dir: Path,
-    name: str,
-    inputs: Sequence[str | Path] = (),
-    configs: Sequence[str | Path] = (),
-) -> None:
+def _write_manifest(args: argparse.Namespace, manifest: _Manifest) -> None:
     from datetime import datetime, timezone  # about 0.6 MB of RSS, which only the timestamp needs
 
-    manifest = {
+    out_dir, name, inputs, configs = manifest
+    document = {
         "command": list(args._argv),
         "seed": args.seed,
         "tool_version": __version__,
@@ -89,7 +87,7 @@ def _write_manifest(
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "config_digests": {str(p): _sha256(p) for p in configs},
     }
-    (out_dir / f"{name}.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out_dir / f"{name}.manifest.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # --- inferrer specs -----------------------------------------------------------
@@ -212,7 +210,7 @@ def _parse_years(text: str) -> range:
     return range(int(start), int(end) + 1)
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace) -> _Manifest:
     out_dir = _out_dir(args.out_dir)
     if args.csv:
         if not args.name_col or not args.gender_col:
@@ -234,13 +232,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     table_path = out_dir / f"{table.source_id}.table.tsv"
     corpus.write_table(table, table_path)
     _write_ingest_report(report, out_dir / f"{table.source_id}.ingest-report.tsv")
-    _write_manifest(args, out_dir, "ingest", inputs=inputs)
     logger.info("ingested %s: %d unique names, %d records retained, %d dropped",
                 table.source_id, len(table), report.retained, report.total_rows - report.retained)
-    return 0
+    return out_dir, "ingest", inputs, ()
 
 
-def cmd_combine(args: argparse.Namespace) -> int:
+def cmd_combine(args: argparse.Namespace) -> _Manifest:
     out_dir = _out_dir(args.out_dir)
     tables = []
     for path in args.tables:
@@ -254,12 +251,11 @@ def cmd_combine(args: argparse.Namespace) -> int:
     if args.id:
         merged = corpus.FrequencyTable(merged.entries, merged.name_type, args.id)
     corpus.write_table(merged, out_dir / f"{merged.source_id}.table.tsv")
-    _write_manifest(args, out_dir, "combine", inputs=args.tables)
     logger.info("combined %d tables into %s (%d unique names)", len(tables), merged.source_id, len(merged))
-    return 0
+    return out_dir, "combine", args.tables, ()
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace) -> _Manifest:
     out_dir = _out_dir(args.out_dir)
     tables = [corpus.read_table(p) for p in args.tables]
     document: dict[str, list[dict]] = {
@@ -313,11 +309,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
             (out_dir / f"ambiguity-{table.source_id}.tsv").write_text(
                 "\n".join(lines) + "\n", encoding="utf-8"
             )
-    _write_manifest(args, out_dir, "stats", inputs=args.tables)
-    return 0
+    return out_dir, "stats", args.tables, ()
 
 
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: argparse.Namespace) -> _Manifest:
     if args.seed is None:
         raise ValueError("split requires --seed")
     out_dir = _out_dir(args.out_dir)
@@ -327,7 +322,6 @@ def cmd_split(args: argparse.Namespace) -> int:
     evaluation.write_testset(result.test, out_dir / f"{result.test.id}.test.tsv")
     ties_path = out_dir / f"{result.test.id}.ties.txt"
     ties_path.write_text("".join(f"{name}\n" for name in result.ties), encoding="utf-8")
-    _write_manifest(args, out_dir, "split", inputs=[args.table])
     logger.info(
         "split %s: %d train, %d test, %d tied names excluded",
         table.source_id,
@@ -335,23 +329,22 @@ def cmd_split(args: argparse.Namespace) -> int:
         result.test.size,
         len(result.ties),
     )
-    return 0
+    return out_dir, "split", [args.table], ()
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> _Manifest:
     out_dir = _out_dir(args.out_dir)
     table = corpus.read_table(args.table)
     model = mle.train(table, args.tau, args.model_id)
     model_path = out_dir / f"{table.source_id}.model.tsv"
     mle.save_model(model, model_path)
-    _write_manifest(args, out_dir, "train", inputs=[args.table])
     logger.info("trained %s on %d names (tau=%g)", model.model_id, len(table), model.tau)
-    return 0
+    return out_dir, "train", [args.table], ()
 
 
-# Characters read per block of infer input, about 4k names: infer holds the
+# Characters read per block of infer input, about 1k names: infer holds the
 # model and one block, and writes each block's lines before reading on.
-_BLOCK_CHARS = 1 << 15
+_BLOCK_CHARS = 1 << 13
 # Prediction objects whose output text infer keeps across blocks; past this
 # many the cache starts over, so inferrers that build new objects per block
 # do not grow it.
@@ -416,7 +409,7 @@ def _line_formatter(structured: bool) -> Callable[[Sequence[str], Sequence[mle.P
     return format_block
 
 
-def cmd_infer(args: argparse.Namespace) -> int:
+def cmd_infer(args: argparse.Namespace) -> _Manifest | None:
     spec = f"mle:{args.model}" if args.model else args.inferrer
     if not spec:
         raise ValueError("infer requires --model or --inferrer")
@@ -448,10 +441,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
             raise
     if sink is None:
         raise ValueError("no names to infer")
-    if out_path is not None:
-        inputs = [] if args.names == "-" else [Path(args.names)]
-        _write_manifest(args, out_path.parent, "infer", inputs=inputs, configs=config_paths)
-    return 0
+    if out_path is None:
+        return None
+    return out_path.parent, "infer", [] if args.names == "-" else [Path(args.names)], config_paths
 
 
 def _tie_notes(inferrers: Sequence[Inferrer]) -> list[str]:
@@ -465,7 +457,7 @@ def _tie_notes(inferrers: Sequence[Inferrer]) -> list[str]:
     ]
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> _Manifest:
     out_dir = _out_dir(args.out_dir)
     testsets = [evaluation.read_testset(p) for p in args.test]
     config_paths: list[Path] = []
@@ -485,11 +477,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         (out_dir / "report.tsv").write_text(report.to_tsv(), encoding="utf-8")
         (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    _write_manifest(args, out_dir, "eval", inputs=list(args.test), configs=config_paths)
-    return 0
+    return out_dir, "eval", args.test, config_paths
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> _Manifest:
     out_dir = _out_dir(args.out_dir)
     testset = evaluation.read_testset(args.test)
     config_paths: list[Path] = []
@@ -507,8 +498,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             logger.warning("skipping %s: %s", filename, exc)
             continue
         analysis.write_ngram_export(inventory, out_dir / filename)
-    _write_manifest(args, out_dir, "analyze", inputs=[args.test], configs=config_paths)
-    return 0
+    return out_dir, "analyze", [args.test], config_paths
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -603,11 +593,14 @@ def _apply_config(args: argparse.Namespace) -> None:
 
     Every --config value is checked as its flag's would be, used or not."""
     config: dict[str, object] = {}
+    keys: dict[str, str] = {}  # option -> the config key that set it
     if args.config:
         for key, value in parse_kv_file(args.config).items():
             attr = key.replace("-", "_")
             if attr not in _CONFIG_KEYS:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
+            if keys.setdefault(attr, key) != key:
+                raise ValueError(f"{args.config}: config keys {keys[attr]!r} and {key!r} set one option")
             try:
                 config[attr] = _CONFIG_KEYS[attr][0](value)
             except ValueError as exc:
@@ -626,7 +619,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args._argv = ["namegender", *argv]
     try:
         _apply_config(args)
-        return args.func(args)
+        manifest = args.func(args)
+        if manifest is not None:
+            _write_manifest(args, manifest)
+        return 0
     except (ValueError, OSError, AdapterUnreachableError) as exc:
         print(f"namegender: error: {exc}", file=sys.stderr)
         return 1

@@ -157,7 +157,11 @@ def normalize_name(raw: str) -> str | Rejection:
     Idempotent on accepted names: normalize_name(x) == x for any x it
     returns.
     """
-    name = _spelling(raw)
+    return _check_spelling(_spelling(raw))
+
+
+def _check_spelling(name: str) -> str | Rejection:
+    """Cleaning rules 2-5 on a spelling (rule 1, _spelling): the name itself, or why it is refused."""
     letters = name.replace(" ", "")
     # No code point is both a letter and a digit, so an all-letter name has no digit.
     if letters.isalpha():
@@ -212,7 +216,7 @@ def _check_spellings(sums: dict[str, tuple[int, int, int]], rejections: Counter[
     their order and get shared GenderCounts."""
     rejected = []
     for spelling, slot in sums.items():
-        name = normalize_name(spelling)
+        name = _check_spelling(spelling)
         if isinstance(name, Rejection):
             rejections[name] += slot[2]
             rejected.append(spelling)

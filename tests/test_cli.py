@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -435,6 +436,32 @@ def test_one_name_infer_imports_neither_manifest_modules_nor_dataclasses(tmp_pat
     assert {**manifest["input_digests"], **manifest["config_digests"]} == digests
 
 
+def test_manifest_is_written_once_the_command_has_freed_its_tables(corpus_csv, tmp_path, monkeypatch):
+    # hashlib loads OpenSSL to write a manifest; with a table still alive that would set the step's peak RSS
+    write, live = cli._write_manifest, []
+
+    def spy(*args, **kwargs):
+        live.append(sum(isinstance(o, FrequencyTable) for o in gc.get_objects()))
+        write(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_manifest", spy)
+    gc.collect()
+    out = tmp_path / "out"
+    assert run("train", str(ingest_tiny(corpus_csv, out)), "--out-dir", str(out)) == 0
+    model = out / "tiny.model.tsv"
+    names = tmp_path / "names.txt"
+    names.write_text("mary\npat\n", encoding="utf-8")
+    assert run("infer", str(names), "--model", str(model), "--out", str(out / "pred.tsv")) == 0
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("mary", "female"), ("john", "male")])
+    assert run("eval", "--test", str(testset), "--inferrer", f"mle:{model}", "--out-dir", str(out)) == 0
+    assert live == [0, 0, 0, 0]  # ingest, train, infer --out, eval
+    names.write_text("\n", encoding="utf-8")
+    assert run("infer", str(names), "--model", str(model), "--out", str(tmp_path / "failed" / "pred.tsv")) == 1
+    assert run("train", str(tmp_path / "missing.tsv"), "--out-dir", str(tmp_path / "failed")) == 1
+    assert len(live) == 4 and not list(tmp_path.glob("failed/*"))
+
+
 @pytest.mark.parametrize("text", ["", "\n", "  \t\r\n\r\u3000\n \x0b"])
 def test_infer_without_names_fails_and_writes_no_file(tmp_path, capsys, monkeypatch, text):
     model = tmp_path / "t.model.tsv"
@@ -817,6 +844,17 @@ def test_config_rejects_unknown_keys(corpus_csv, tmp_path, capsys):
     assert run("split", str(table_path), "--config", str(config), "--seed", "1",
                "--out-dir", str(out)) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_config_refuses_two_spellings_of_one_option(corpus_csv, tmp_path, capsys):
+    config = tmp_path / "defaults.conf"
+    config.write_text(f"out-dir = {tmp_path / 'a'}\nout_dir = {tmp_path / 'b'}\n", encoding="utf-8")
+    assert run("ingest", "--csv", str(corpus_csv), "--name-col", "name", "--gender-col", "gender",
+               "--config", str(config)) == 1
+    assert capsys.readouterr().err == (
+        f"namegender: error: {config}: config keys 'out-dir' and 'out_dir' set one option\n"
+    )
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("line, key", [("format = xml", "format"), ("seed = x", "seed"), ("test-fraction = y", "test-fraction")])

@@ -33,6 +33,7 @@ from namegender.corpus import (
     NameType,
     Rejection,
     TableParseError,
+    _check_spelling,
     _spelling,
     ingest_labeled_csv,
     ingest_ssa_years,
@@ -322,8 +323,10 @@ def test_normalize_name_matches_the_reference(raw):
 @settings(deadline=None, max_examples=500)
 @given(st.one_of(NORMALIZE_TEXT, st.text()))
 def test_every_check_of_normalize_name_depends_only_on_the_spelling(raw):
-    # ingestion sums rows under _spelling(raw) and checks each spelling once
-    assert normalize_name(_spelling(raw)) == normalize_name(raw)
+    # ingestion sums rows under _spelling(raw) and checks each spelling once, without spelling it again
+    spelling = _spelling(raw)
+    assert _spelling(spelling) == spelling
+    assert _check_spelling(spelling) == normalize_name(spelling) == normalize_name(raw)
 
 
 @settings(deadline=None)
