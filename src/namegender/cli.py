@@ -21,14 +21,8 @@ from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__
 from . import analysis, corpus, evaluation, mle
-from .corpus import CsvSchema, NameType
-from .ensemble import (
-    DEFAULT_DEFER_BAND,
-    TwoStageConfig,
-    TwoStageInferrer,
-    VotingConfig,
-    VotingInferrer,
-)
+from .corpus import NameType
+from .ensemble import DEFAULT_DEFER_BAND, TwoStageInferrer, VotingInferrer
 from .inferrers import (
     AdapterUnreachableError,
     ExternalAdapterConfig,
@@ -79,6 +73,8 @@ def _write_manifest(args: argparse.Namespace, manifest: _Manifest) -> None:
     from datetime import datetime, timezone  # about 0.6 MB of RSS, which only the timestamp needs
 
     out_dir, name, inputs, configs = manifest
+    if args.config:
+        configs = [*configs, args.config]
     document = {
         "command": list(args._argv),
         "seed": args.seed,
@@ -107,8 +103,13 @@ def _model(path: str | Path, models: dict[Path, mle.MleModel]) -> mle.MleModel:
     return models[key]
 
 
+def _beside(config_file: str, path: str) -> str:
+    """path as written in config_file: a relative path resolves against the file's directory."""
+    return path if Path(path).is_absolute() else str((Path(config_file).parent / path).resolve())
+
+
 def _build_twostage(path: str, id: str | None, config_paths: list[Path], models: dict[Path, mle.MleModel]) -> Inferrer:
-    """Two-stage config file keys:
+    """Two-stage config file keys (relative paths resolve against the file's directory):
 
     model = MODEL_FILE            stage-1 frequency model
     band = 0.25, 0.75             defer band (optional)
@@ -119,9 +120,8 @@ def _build_twostage(path: str, id: str | None, config_paths: list[Path], models:
     fields = parse_kv_file(path)
     if "model" not in fields:
         raise ValueError(f"{path}: two-stage config requires model =")
-    base = Path(path).parent
-    model_path = (base / fields["model"]).resolve() if not Path(fields["model"]).is_absolute() else Path(fields["model"])
-    config_paths.append(Path(model_path))
+    model_path = Path(_beside(path, fields["model"]))
+    config_paths.append(model_path)
     model = _model(model_path, models)
     band = DEFAULT_DEFER_BAND
     if "band" in fields:
@@ -134,25 +134,27 @@ def _build_twostage(path: str, id: str | None, config_paths: list[Path], models:
             raise ValueError(f"{path}: band = {fields['band']}: expected two numbers lo, hi with 0 <= lo < hi <= 1")
         band = (lo, hi)
     if "voters" in fields:
-        voters = tuple(
-            build_inferrer(spec.strip(), config_paths, models) for spec in fields["voters"].split(";")
-        )
-        if len(voters) != 3:
+        specs = fields["voters"].split(";")
+        if len(specs) != 3:
             raise ValueError(f"{path}: voters must list exactly 3 specs")
-        fallback: Inferrer = VotingInferrer(VotingConfig(voters))  # type: ignore[arg-type]
+        voters = [build_inferrer(spec.strip(), config_paths, models, path) for spec in specs]
+        fallback: Inferrer = VotingInferrer(voters)
     elif "fallback" in fields:
-        fallback = build_inferrer(fields["fallback"], config_paths, models)
+        fallback = build_inferrer(fields["fallback"], config_paths, models, path)
     else:
         raise ValueError(f"{path}: two-stage config requires fallback = or voters =")
-    spec_id = id or fields.get("id")
-    return TwoStageInferrer(TwoStageConfig(model, fallback, band), id=spec_id)
+    return TwoStageInferrer(model, fallback, band, id=id or fields.get("id"))
 
 
 def build_inferrer(
-    spec: str, config_paths: list[Path] | None = None, models: dict[Path, mle.MleModel] | None = None
+    spec: str,
+    config_paths: list[Path] | None = None,
+    models: dict[Path, mle.MleModel] | None = None,
+    config_file: str | None = None,
 ) -> Inferrer:
     """Construct an inferrer from a [id=]kind:arg spec string; specs built with one
-    models map (resolved path -> model) share one model per file, so a command passes all its specs one map."""
+    models map (resolved path -> model) share one model per file, so a command passes all its specs one map.
+    A spec read from the file at config_file has its relative arg resolved against that file's directory."""
     if config_paths is None:
         config_paths = []
     if models is None:
@@ -165,6 +167,8 @@ def build_inferrer(
         raise ValueError(f"bad inferrer spec {spec!r} (expected kind:arg)")
     if kind not in ("mle", "mock", "http", "twostage"):
         raise ValueError(f"unknown inferrer kind {kind!r}")
+    if config_file is not None:
+        arg = _beside(config_file, arg)
     config_paths.append(Path(arg))
     if kind == "mle":
         return MleInferrer(_model(arg, models), id=id)
@@ -215,10 +219,11 @@ def cmd_ingest(args: argparse.Namespace) -> _Manifest:
     if args.csv:
         if not args.name_col or not args.gender_col:
             raise ValueError("--csv requires --name-col and --gender-col")
-        schema = CsvSchema(args.name_col, args.gender_col, args.count_col)
         table, report = corpus.ingest_labeled_csv(
             args.csv,
-            schema,
+            args.name_col,
+            args.gender_col,
+            args.count_col,
             name_type=NameType(args.name_type),
             source_id=args.source_id,
         )
@@ -449,11 +454,11 @@ def cmd_infer(args: argparse.Namespace) -> _Manifest | None:
 def _tie_notes(inferrers: Sequence[Inferrer]) -> list[str]:
     """A note per two-stage inferrer whose voting fallback counted ties (specs build voting only there)."""
     return [
-        f"{inferrer.id}: vote ties = {inferrer.config.fallback.tie_count}"
+        f"{inferrer.id}: vote ties = {inferrer.fallback.tie_count}"
         for inferrer in inferrers
         if isinstance(inferrer, TwoStageInferrer)
-        and isinstance(inferrer.config.fallback, VotingInferrer)
-        and inferrer.config.fallback.tie_count
+        and isinstance(inferrer.fallback, VotingInferrer)
+        and inferrer.fallback.tie_count
     ]
 
 

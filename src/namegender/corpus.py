@@ -193,14 +193,6 @@ def split_full_name(full: str) -> tuple[str, str]:
     return first, last
 
 
-class CsvSchema(NamedTuple):
-    """Column mapping for a labeled CSV corpus (header row required)."""
-
-    name_column: str
-    gender_column: str
-    count_column: str | None = None
-
-
 def _shared_counts(counts: dict) -> dict[str, GenderCounts]:
     """Turn name -> (female, male, ...) into name -> GenderCounts in place, one object per distinct pair."""
     shared: dict[tuple[int, int], GenderCounts] = {}
@@ -258,12 +250,14 @@ def _accumulate(groups: Iterable[tuple[str, str, int, int]], report: IngestRepor
 
 def ingest_labeled_csv(
     path: str | Path,
-    schema: CsvSchema,
+    name_column: str,
+    gender_column: str,
+    count_column: str | None = None,
     *,
     name_type: NameType = NameType.FIRST,
     source_id: str | None = None,
 ) -> tuple[FrequencyTable, IngestReport]:
-    """Build a frequency table from a labeled CSV file.
+    """Build a frequency table from a labeled CSV file whose header row names its columns.
 
     Malformed rows are skipped and recorded with their line number; the run
     continues. Raises EmptyCorpusError if nothing survives cleaning.
@@ -279,14 +273,14 @@ def ingest_labeled_csv(
         except StopIteration:
             raise EmptyCorpusError(f"{path}: file is empty") from None
         positions = {}
-        for column in (schema.name_column, schema.gender_column, schema.count_column):
+        for column in (name_column, gender_column, count_column):
             if column is None:
                 continue
             if column not in header:
                 raise ValueError(f"{path}: column {column!r} not in header {header}")
             positions[column] = header.index(column)
-        name_at, gender_at = positions[schema.name_column], positions[schema.gender_column]
-        count_at = positions.get(schema.count_column)
+        name_at, gender_at = positions[name_column], positions[gender_column]
+        count_at = positions.get(count_column)
 
         def groups() -> Iterator[tuple[str, str, int, int]]:
             """One group per well-formed row: the rows of a CSV file are mostly distinct."""

@@ -11,42 +11,12 @@ and a tie yields unknown.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .inferrers import Inferrer, MleInferrer
 from .mle import GenderLabel, MleModel, Prediction
 
 DEFAULT_DEFER_BAND = (0.25, 0.75)
-
-
-class _TwoStageFields(NamedTuple):
-    primary: MleModel
-    fallback: Inferrer
-    defer_band: tuple[float, float] = DEFAULT_DEFER_BAND
-
-
-class TwoStageConfig(_TwoStageFields):
-    __slots__ = ()
-
-    def __init__(self, *fields: object, **named: object) -> None:
-        lo, hi = self.defer_band
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError(f"bad defer band [{lo}, {hi}]")
-
-
-class _VotingFields(NamedTuple):
-    voters: tuple[Inferrer, Inferrer, Inferrer]
-
-
-class VotingConfig(_VotingFields):
-    __slots__ = ()
-
-    def __init__(self, *fields: object, **named: object) -> None:
-        if len(self.voters) != 3:
-            raise ValueError("voting requires exactly 3 voters")
-        ids = [v.id for v in self.voters]
-        if len(set(ids)) != 3:
-            raise ValueError(f"voter ids must be distinct: {ids}")
 
 
 def majority_vote(predictions: Sequence[Prediction], source: str = "vote") -> Prediction:
@@ -73,13 +43,18 @@ def majority_vote(predictions: Sequence[Prediction], source: str = "vote") -> Pr
 class VotingInferrer(Inferrer):
     """Majority vote across exactly three inferrers."""
 
-    def __init__(self, config: VotingConfig, id: str = "vote") -> None:
+    def __init__(self, voters: Sequence[Inferrer], id: str = "vote") -> None:
+        if len(voters) != 3:
+            raise ValueError("voting requires exactly 3 voters")
+        ids = [v.id for v in voters]
+        if len(set(ids)) != 3:
+            raise ValueError(f"voter ids must be distinct: {ids}")
         super().__init__(id)
-        self.config = config
+        self.voters = tuple(voters)
         self.tie_count = 0
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
-        ballots = [voter.infer_batch(names) for voter in self.config.voters]
+        ballots = [voter.infer_batch(names) for voter in self.voters]
         out = []
         for votes in zip(*ballots):
             pred = majority_vote(votes, source=self.id)
@@ -95,19 +70,27 @@ class TwoStageInferrer(Inferrer):
     the fallback. Sources are prefixed stage1:/stage2: to record which
     stage answered."""
 
-    def __init__(self, config: TwoStageConfig, id: str | None = None) -> None:
-        if id is None:
-            id = f"{config.primary.model_id}+{config.fallback.id}"
-        super().__init__(id)
-        self.config = config
-        self._stage1 = MleInferrer(config.primary, id=f"stage1:{config.primary.model_id}")
+    def __init__(
+        self,
+        primary: MleModel,
+        fallback: Inferrer,
+        defer_band: tuple[float, float] = DEFAULT_DEFER_BAND,
+        id: str | None = None,
+    ) -> None:
+        lo, hi = defer_band
+        if not 0.0 <= lo < hi <= 1.0:
+            raise ValueError(f"bad defer band [{lo}, {hi}]")
+        super().__init__(f"{primary.model_id}+{fallback.id}" if id is None else id)
+        self.fallback = fallback
+        self.defer_band = defer_band
+        self._stage1 = MleInferrer(primary, id=f"stage1:{primary.model_id}")
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
-        lo, hi = self.config.defer_band
+        lo, hi = self.defer_band
         out = self._stage1.infer_batch(names)
         deferred = [i for i, pred in enumerate(out) if pred.p_female is None or lo <= pred.p_female <= hi]
         if deferred:
-            answers = self.config.fallback.infer_batch([names[i] for i in deferred])
+            answers = self.fallback.infer_batch([names[i] for i in deferred])
             for i, pred in zip(deferred, answers):
                 out[i] = Prediction(pred.label, pred.p_female, f"stage2:{pred.source}")
         return out

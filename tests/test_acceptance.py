@@ -26,7 +26,7 @@ from namegender.corpus import (
     ingest_ssa_years,
     merge_tables,
 )
-from namegender.ensemble import TwoStageConfig, TwoStageInferrer, majority_vote
+from namegender.ensemble import TwoStageInferrer, majority_vote
 from namegender.evaluation import ConfusionCounts, aggregate, metrics
 from namegender.inferrers import Inferrer
 from namegender.mle import GenderLabel, Prediction, mle_female, train
@@ -286,9 +286,7 @@ def test_criterion_7_ensemble_suite(rng):
         if not 0.25 <= f / (f + m) <= 0.75:
             confident.append(name)
     fallback = _CountingFallback()
-    inferrer = TwoStageInferrer(
-        TwoStageConfig(train(FrequencyTable(entries, NameType.FIRST, "t"), 0.9), fallback)
-    )
+    inferrer = TwoStageInferrer(train(FrequencyTable(entries, NameType.FIRST, "t"), 0.9), fallback)
     assert confident, "fixture must contain confident names"
     inferrer.infer_batch(confident)
     assert fallback.calls == 0

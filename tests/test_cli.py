@@ -462,6 +462,32 @@ def test_manifest_is_written_once_the_command_has_freed_its_tables(corpus_csv, t
     assert len(live) == 4 and not list(tmp_path.glob("failed/*"))
 
 
+def test_the_package_and_corpus_imports_load_no_other_module_of_the_package():
+    script = (
+        "import sys\n"
+        "import {module}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('namegender.')))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    loaded = {}
+    for module in ("namegender", "namegender.corpus"):
+        done = subprocess.run([sys.executable, "-c", script.format(module=module)], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        loaded[module] = done.stdout.split()
+    assert loaded == {"namegender": [], "namegender.corpus": ["namegender.corpus"]}
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = [first + "a" + second + "o" for first in "bdkl" for second in "mnprstvzgh"]
+    rows = [f"{name},{'F' if i % 2 else 'M'},{i + 1}" for i, name in enumerate(names)] + ["mary,F,95", "mary,M,5"]
+    (tmp_path / "names.csv").write_text("name,gender,count\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize("text", ["", "\n", "  \t\r\n\r\u3000\n \x0b"])
 def test_infer_without_names_fails_and_writes_no_file(tmp_path, capsys, monkeypatch, text):
     model = tmp_path / "t.model.tsv"
@@ -742,6 +768,51 @@ def write_twostage_conf(path: Path, model: str, *lines: str) -> Path:
     return path
 
 
+def test_twostage_voters_are_counted_before_any_voter_is_built(tmp_path, capsys):
+    model = tmp_path / "m.model.tsv"
+    save_model(train(FrequencyTable({"ana": GenderCounts(9, 1)}, NameType.FIRST, "m")), model)
+    for i in range(3):
+        write_mock_file(tmp_path / f"v{i}.json", {})
+    voters = [f"v{i}=mock:{tmp_path / f'v{i}.json'}" for i in range(3)] + [f"mock:{tmp_path / 'missing.json'}"]
+    ensemble = tmp_path / "ens.conf"
+    ensemble.write_text(f"model = {model}\nvoters = {'; '.join(voters)}\n", encoding="utf-8")
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female")])
+    capsys.readouterr()
+    assert run("eval", "--test", str(testset), "--inferrer", f"twostage:{ensemble}",
+               "--out-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"namegender: error: {ensemble}: voters must list exactly 3 specs\n"
+
+
+def test_twostage_spec_paths_resolve_against_the_config_directory(tmp_path, monkeypatch):
+    conf_dir, elsewhere = tmp_path / "conf", tmp_path / "elsewhere"
+    conf_dir.mkdir()
+    elsewhere.mkdir()
+    counts = {"ana": GenderCounts(99, 1), "pat": GenderCounts(5, 5)}
+    save_model(train(FrequencyTable(counts, NameType.FIRST, "m")), conf_dir / "m.model.tsv")
+    write_mock_file(conf_dir / "m.json", {"pat": {"label": "male", "p_female": 0.1}})
+    for i, label in enumerate(("female", "female", "male")):
+        p_female = 0.9 if label == "female" else 0.1
+        write_mock_file(conf_dir / f"v{i}.json", {"pat": {"label": label, "p_female": p_female}})
+    single = conf_dir / "single.conf"
+    single.write_text("id = single\nmodel = m.model.tsv\nfallback = mock:m.json\n", encoding="utf-8")
+    vote = conf_dir / "vote.conf"
+    vote.write_text("id = vote\nmodel = m.model.tsv\nvoters = a=mock:v0.json; b=mock:v1.json; c=mock:v2.json\n",
+                    encoding="utf-8")
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female"), ("pat", "female")])
+    monkeypatch.chdir(elsewhere)
+    out = tmp_path / "out"
+    assert run("eval", "--test", str(testset), "--inferrer", "twostage:../conf/single.conf",
+               "--inferrer", f"twostage:{vote}", "--out-dir", str(out)) == 0
+    rows = [row for row in (out / "report.tsv").read_text(encoding="utf-8").splitlines() if "\tdemo\t" in row]
+    # pat goes to stage 2: the single fallback says male, the vote says female
+    assert rows[0].startswith("single\tdemo\t2\t50.00") and rows[1].startswith("vote\tdemo\t2\t100.00")
+    manifest = json.loads((out / "eval.manifest.json").read_text(encoding="utf-8"))
+    beside = [str((conf_dir / f).resolve()) for f in ("m.model.tsv", "m.json", "v0.json", "v1.json", "v2.json")]
+    assert sorted(manifest["config_digests"]) == sorted(["../conf/single.conf", str(vote), *beside])
+
+
 @pytest.mark.parametrize("band", ["0.3", "0.3, x", "0.25, 0.5, 0.75", "0.8, 0.2", "0.25, 1.5", "nan, 0.5"])
 def test_eval_twostage_bad_band_names_the_config_file_and_the_key(tmp_path, capsys, band):
     (tmp_path / "m.table.tsv").write_text("# name_type=first\tsource_id=m\nana\t9\t1\n", encoding="utf-8")
@@ -834,6 +905,17 @@ def test_config_file_supplies_defaults(corpus_csv, tmp_path):
     assert run("split", str(table_path), "--config", str(config), "--out-dir", str(out)) == 0
     manifest = json.loads((out / "split.manifest.json").read_text(encoding="utf-8"))
     assert manifest["seed"] == 11
+
+
+def test_manifest_digests_the_config_file(corpus_csv, tmp_path):
+    out = tmp_path / "out"
+    table_path = ingest_tiny(corpus_csv, out)
+    config = tmp_path / "train.conf"
+    config.write_text("tau = 0.6\n", encoding="utf-8")
+    assert run("train", str(table_path), "--config", str(config), "--out-dir", str(out)) == 0
+    assert load_model(out / "tiny.model.tsv").tau == 0.6
+    manifest = json.loads((out / "train.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_digests"] == {str(config): hashlib.sha256(config.read_bytes()).hexdigest()}
 
 
 def test_config_rejects_unknown_keys(corpus_csv, tmp_path, capsys):

@@ -8,7 +8,6 @@ from itertools import product
 import pytest
 
 from namegender.corpus import (
-    CsvSchema,
     EmptyCorpusError,
     FrequencyTable,
     GenderCounts,
@@ -140,7 +139,7 @@ def write_csv(path, rows, header="name,gender,count"):
 def test_csv_with_utf8_bom_loads(tmp_path):
     path = tmp_path / "names.csv"
     path.write_bytes("\ufeffname,gender,count\nanna,F,2\nbo,M,1\n".encode("utf-8"))
-    table, report = ingest_labeled_csv(path, CsvSchema("name", "gender", "count"))
+    table, report = ingest_labeled_csv(path, "name", "gender", "count")
     assert table.entries == {"anna": GenderCounts(2, 0), "bo": GenderCounts(0, 1)}
     assert report.total_rows == 2
 
@@ -148,7 +147,7 @@ def test_csv_with_utf8_bom_loads(tmp_path):
 def test_csv_whitespace_only_line_is_skipped_like_a_blank_one(tmp_path):
     path = tmp_path / "names.csv"
     path.write_text("name,gender\nmary,F\n   \n", encoding="utf-8")
-    table, report = ingest_labeled_csv(path, CsvSchema("name", "gender"))
+    table, report = ingest_labeled_csv(path, "name", "gender")
     assert table.entries == {"mary": GenderCounts(1, 0)}
     assert report.total_rows == 1
     assert report.malformed == []
@@ -157,7 +156,7 @@ def test_csv_whitespace_only_line_is_skipped_like_a_blank_one(tmp_path):
 def test_csv_counts_accumulate(tmp_path):
     path = tmp_path / "names.csv"
     write_csv(path, ["anna,F,2", "anna,M,1"])
-    table, report = ingest_labeled_csv(path, CsvSchema("name", "gender", "count"))
+    table, report = ingest_labeled_csv(path, "name", "gender", "count")
     assert table.entries == {"anna": GenderCounts(2, 1)}
     assert report.retained == 2
 
@@ -166,7 +165,7 @@ def test_csv_all_rejected_is_empty_corpus(tmp_path):
     path = tmp_path / "names.csv"
     write_csv(path, ["X,F,1"])
     with pytest.raises(EmptyCorpusError):
-        ingest_labeled_csv(path, CsvSchema("name", "gender", "count"))
+        ingest_labeled_csv(path, "name", "gender", "count")
 
 
 def test_csv_malformed_rows_skipped_and_reported(tmp_path):
@@ -185,7 +184,7 @@ def test_csv_malformed_rows_skipped_and_reported(tmp_path):
     ]
     path = tmp_path / "names.csv"
     write_csv(path, rows)
-    table, report = ingest_labeled_csv(path, CsvSchema("name", "gender", "count"))
+    table, report = ingest_labeled_csv(path, "name", "gender", "count")
     assert len(table) == 8
     assert report.retained == 8
     assert [line for line, _ in report.malformed] == [4, 8]
@@ -194,14 +193,14 @@ def test_csv_malformed_rows_skipped_and_reported(tmp_path):
 def test_csv_count_column_optional(tmp_path):
     path = tmp_path / "names.csv"
     write_csv(path, ["anna,F", "anna,F"], header="name,gender")
-    table, _ = ingest_labeled_csv(path, CsvSchema("name", "gender"))
+    table, _ = ingest_labeled_csv(path, "name", "gender")
     assert table.entries == {"anna": GenderCounts(2, 0)}
 
 
 def test_csv_unmappable_gender_dropped(tmp_path):
     path = tmp_path / "names.csv"
     write_csv(path, ["anna,F,1", "boris,X,1", "cleo,,1"])
-    table, report = ingest_labeled_csv(path, CsvSchema("name", "gender", "count"))
+    table, report = ingest_labeled_csv(path, "name", "gender", "count")
     assert list(table.entries) == ["anna"]
     assert report.unmappable_gender == 2
 
@@ -209,14 +208,14 @@ def test_csv_unmappable_gender_dropped(tmp_path):
 def test_csv_gender_aliases_case_insensitive(tmp_path):
     path = tmp_path / "names.csv"
     write_csv(path, ["anna,Female,1", "anna,W,1", "bo,MALE,2"])
-    table, _ = ingest_labeled_csv(path, CsvSchema("name", "gender", "count"))
+    table, _ = ingest_labeled_csv(path, "name", "gender", "count")
     assert table.entries == {"anna": GenderCounts(2, 0), "bo": GenderCounts(0, 2)}
 
 
 def test_csv_rejection_reasons_tallied(tmp_path):
     path = tmp_path / "names.csv"
     write_csv(path, ["anna,F,1", "B,M,1", "mrs,F,1", "xyz9,M,1", "grr,M,1"])
-    _, report = ingest_labeled_csv(path, CsvSchema("name", "gender", "count"))
+    _, report = ingest_labeled_csv(path, "name", "gender", "count")
     assert report.rejections == {
         Rejection.TOO_SHORT: 1,
         Rejection.IS_TITLE: 1,
@@ -229,12 +228,12 @@ def test_csv_missing_column_raises(tmp_path):
     path = tmp_path / "names.csv"
     write_csv(path, ["anna,F,1"])
     with pytest.raises(ValueError, match="not in header"):
-        ingest_labeled_csv(path, CsvSchema("name", "sex", "count"))
+        ingest_labeled_csv(path, "name", "sex", "count")
 
 
 def test_csv_missing_file_raises(tmp_path):
     with pytest.raises(OSError):
-        ingest_labeled_csv(tmp_path / "nope.csv", CsvSchema("name", "gender"))
+        ingest_labeled_csv(tmp_path / "nope.csv", "name", "gender")
 
 
 # --- SSA ingestion --------------------------------------------------------------
@@ -275,7 +274,7 @@ def test_ssa_empty_range_raises(tmp_path):
 def test_ingest_shares_one_counts_object_per_pair(tmp_path):
     rows = ["anna,F,2", "Bo,M,1", "cara,F,2", "dana,M,1", "eve,F,2", "eve,M,3", "fay,F,2", "gil,M,3", "hal,F,2"]
     write_csv(tmp_path / "names.csv", rows)
-    table, _ = ingest_labeled_csv(tmp_path / "names.csv", CsvSchema("name", "gender", "count"))
+    table, _ = ingest_labeled_csv(tmp_path / "names.csv", "name", "gender", "count")
     assert one_object_per_pair(table) and len(table) == 8 and len(set(table.entries.values())) == 4
     write_ssa_year(tmp_path, 1990, rows[:5])
     write_ssa_year(tmp_path, 1991, rows[4:])
@@ -570,7 +569,7 @@ def test_ingest_of_distinct_full_names_peaks_below_twice_the_table(tmp_path, rng
                     encoding="utf-8")
     tracemalloc.start()
     try:
-        table, report = ingest_labeled_csv(path, CsvSchema("name", "gender"), name_type=NameType.FULL)
+        table, report = ingest_labeled_csv(path, "name", "gender", name_type=NameType.FULL)
         assert len(table) == report.retained == 24_000
         with_table, peak = tracemalloc.get_traced_memory()
         del table, report

@@ -5,13 +5,7 @@ import itertools
 import pytest
 
 from namegender.corpus import FrequencyTable, GenderCounts, NameType
-from namegender.ensemble import (
-    TwoStageConfig,
-    TwoStageInferrer,
-    VotingConfig,
-    VotingInferrer,
-    majority_vote,
-)
+from namegender.ensemble import TwoStageInferrer, VotingInferrer, majority_vote
 from namegender.inferrers import Inferrer, MockInferrer
 from namegender.mle import GenderLabel, Prediction, train
 
@@ -93,7 +87,7 @@ def test_permutation_invariance(rng):
         assert len(outcomes) == 1
 
 
-# --- VotingConfig / VotingInferrer ------------------------------------------------
+# --- VotingInferrer ----------------------------------------------------------------
 
 
 def test_voting_config_requires_distinct_ids():
@@ -101,7 +95,7 @@ def test_voting_config_requires_distinct_ids():
     b = MockInferrer("same", {})
     c = MockInferrer("other", {})
     with pytest.raises(ValueError, match="distinct"):
-        VotingConfig((a, b, c))
+        VotingInferrer((a, b, c))
 
 
 def test_voting_inferrer_counts_ties():
@@ -110,7 +104,7 @@ def test_voting_inferrer_counts_ties():
         MockInferrer("v2", {"pat": (M, 0.1)}),
         MockInferrer("v3", {}),
     )
-    voting = VotingInferrer(VotingConfig(voters), id="vote3")
+    voting = VotingInferrer(voters, id="vote3")
     preds = voting.infer_batch(["pat", "pat"])
     assert all(p.label is U for p in preds)
     assert voting.tie_count == 2
@@ -122,7 +116,7 @@ def test_voting_inferrer_counts_no_tie_without_a_definite_ballot():
         MockInferrer("v2", {}),
         MockInferrer("v3", {}),
     )
-    voting = VotingInferrer(VotingConfig(voters))
+    voting = VotingInferrer(voters)
     assert voting.infer("pat").label is U
     assert voting.tie_count == 0
 
@@ -133,7 +127,7 @@ def test_voting_inferrer_tags_source():
         MockInferrer("v2", {"ana": (F, 0.8)}),
         MockInferrer("v3", {"ana": (M, 0.0)}),
     )
-    pred = VotingInferrer(VotingConfig(voters), id="vote3").infer("ana")
+    pred = VotingInferrer(voters, id="vote3").infer("ana")
     assert pred.source == "vote3"
     assert pred.label is F
 
@@ -143,8 +137,7 @@ def test_voting_inferrer_tags_source():
 
 def test_confident_name_short_circuits_fallback():
     fallback = CountingMock()
-    config = TwoStageConfig(model_with({"gwen": (95, 5)}), fallback)
-    pred = TwoStageInferrer(config).infer("gwen")
+    pred = TwoStageInferrer(model_with({"gwen": (95, 5)}), fallback).infer("gwen")
     assert pred.label is F
     assert pred.source == "stage1:mle:m"
     assert fallback.calls == 0
@@ -152,8 +145,7 @@ def test_confident_name_short_circuits_fallback():
 
 def test_band_interior_defers():
     fallback = CountingMock(label=M, p_female=0.2)
-    config = TwoStageConfig(model_with({"kim": (6, 4)}), fallback)  # p = 0.60
-    pred = TwoStageInferrer(config).infer("kim")
+    pred = TwoStageInferrer(model_with({"kim": (6, 4)}), fallback).infer("kim")  # p = 0.60
     assert pred.label is M
     assert pred.source == "stage2:counter"
     assert fallback.calls == 1
@@ -161,15 +153,14 @@ def test_band_interior_defers():
 
 def test_band_endpoints_defer():
     fallback = CountingMock(label=F, p_female=0.9)
-    config = TwoStageConfig(model_with({"lo": (1, 3), "hi": (3, 1)}), fallback)  # 0.25, 0.75
-    assert TwoStageInferrer(config).infer("lo").source == "stage2:counter"
-    assert TwoStageInferrer(config).infer("hi").source == "stage2:counter"
+    inferrer = TwoStageInferrer(model_with({"lo": (1, 3), "hi": (3, 1)}), fallback)  # 0.25, 0.75
+    assert inferrer.infer("lo").source == "stage2:counter"
+    assert inferrer.infer("hi").source == "stage2:counter"
 
 
 def test_out_of_vocabulary_routes_to_fallback():
     fallback = CountingMock(label=M, p_female=0.05)
-    config = TwoStageConfig(model_with({"ann": (9, 1)}), fallback)
-    pred = TwoStageInferrer(config).infer("zorro")
+    pred = TwoStageInferrer(model_with({"ann": (9, 1)}), fallback).infer("zorro")
     assert pred.label is M
     assert pred.source == "stage2:counter"
 
@@ -188,14 +179,14 @@ def test_short_circuit_on_random_confident_names(rng):
         if not 0.25 <= f / (f + m) <= 0.75:
             confident.append(name)
     fallback = CountingMock()
-    inferrer = TwoStageInferrer(TwoStageConfig(model_with(entries), fallback))
+    inferrer = TwoStageInferrer(model_with(entries), fallback)
     inferrer.infer_batch(confident)
     assert fallback.calls == 0
 
 
 def test_unknown_fallback_reduces_to_bare_model():
     model = model_with({"ada": (99, 1), "bob": (1, 99), "kim": (1, 1)})
-    inferrer = TwoStageInferrer(TwoStageConfig(model, CountingMock()))
+    inferrer = TwoStageInferrer(model, CountingMock())
     assert inferrer.infer("ada").label is F
     assert inferrer.infer("bob").label is M
     assert inferrer.infer("kim").label is U
@@ -205,15 +196,15 @@ def test_unknown_fallback_reduces_to_bare_model():
 def test_band_validation():
     model = model_with({"a": (1, 0)})
     with pytest.raises(ValueError):
-        TwoStageConfig(model, CountingMock(), (0.75, 0.25))
+        TwoStageInferrer(model, CountingMock(), (0.75, 0.25))
     with pytest.raises(ValueError):
-        TwoStageConfig(model, CountingMock(), (-0.1, 0.5))
+        TwoStageInferrer(model, CountingMock(), (-0.1, 0.5))
 
 
 def test_batch_preserves_order_across_stages():
     fallback = CountingMock(label=M, p_female=0.0)
     model = model_with({"ada": (99, 1), "kim": (1, 1), "eva": (98, 2)})
-    preds = TwoStageInferrer(TwoStageConfig(model, fallback)).infer_batch(["ada", "kim", "eva", "xx"])
+    preds = TwoStageInferrer(model, fallback).infer_batch(["ada", "kim", "eva", "xx"])
     assert [p.label for p in preds] == [F, M, F, M]
     assert [p.source.split(":")[0] for p in preds] == ["stage1", "stage2", "stage1", "stage2"]
 
@@ -232,7 +223,7 @@ def make_voters(mapping):
 def test_confident_name_skips_voters():
     voters = make_voters({})
     model = model_with({"zed": (1, 49)})  # p = 0.02
-    pred = TwoStageInferrer(TwoStageConfig(model, VotingInferrer(VotingConfig(voters)), (0.25, 0.75))).infer("zed")
+    pred = TwoStageInferrer(model, VotingInferrer(voters), (0.25, 0.75)).infer("zed")
     assert pred.label is M
     assert pred.source.startswith("stage1:")
 
@@ -246,7 +237,7 @@ def test_ambiguous_name_decided_by_vote():
         }
     )
     model = model_with({"pat": (1, 1)})
-    pred = TwoStageInferrer(TwoStageConfig(model, VotingInferrer(VotingConfig(voters)), (0.25, 0.75))).infer("pat")
+    pred = TwoStageInferrer(model, VotingInferrer(voters), (0.25, 0.75)).infer("pat")
     assert pred.label is F
     assert pred.source.startswith("stage2:")
 
@@ -260,5 +251,5 @@ def test_unknown_name_decided_by_vote():
         }
     )
     model = model_with({"ann": (9, 1)})
-    pred = TwoStageInferrer(TwoStageConfig(model, VotingInferrer(VotingConfig(voters)), (0.25, 0.75))).infer("rex")
+    pred = TwoStageInferrer(model, VotingInferrer(voters), (0.25, 0.75)).infer("rex")
     assert pred.label is M

@@ -25,7 +25,6 @@ from namegender.analysis import assign_rate_types
 from namegender.corpus import (
     DEFAULT_GENDER_ALIASES,
     DEFAULT_TITLES,
-    CsvSchema,
     EmptyCorpusError,
     FrequencyTable,
     GenderCounts,
@@ -54,7 +53,7 @@ from namegender.evaluation import (
     aggregate,
     score,
 )
-from namegender.ensemble import TwoStageConfig, TwoStageInferrer, majority_vote
+from namegender.ensemble import TwoStageInferrer, majority_vote
 from namegender.inferrers import AdapterUnreachableError, ExternalAdapterConfig, HttpAdapter, MleInferrer, MockInferrer
 from namegender.mle import GenderLabel, MleModel, Prediction, train
 
@@ -185,8 +184,8 @@ def test_csv_ingest_matches_per_row_reference(lines, with_count):
                     writer.writerow(fields)
                 else:
                     fh.write("\n")
-        schema = CsvSchema("name", "gender", "count" if with_count else None)
-        _check_ingest(lambda: ingest_labeled_csv(path, schema), counts, report)
+        count_column = "count" if with_count else None
+        _check_ingest(lambda: ingest_labeled_csv(path, "name", "gender", count_column), counts, report)
 
 
 @given(st.lists(st.integers(1, 10_000), min_size=1, max_size=5), st.floats(-100.0, 100.0))
@@ -503,7 +502,7 @@ def test_two_stage_batch_matches_the_per_name_rule(pairs, fallback_entries, band
         else:
             pred = model.classify(name)
             expected.append(Prediction(pred.label, pred.p_female, f"stage1:{pred.source}"))
-    inferrer = TwoStageInferrer(TwoStageConfig(model, fallback, band))
+    inferrer = TwoStageInferrer(model, fallback, band)
     assert inferrer.infer_batch(queries) == inferrer.infer_batch(queries) == expected
 
 
