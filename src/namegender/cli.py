@@ -25,7 +25,6 @@ from .corpus import NameType
 from .ensemble import DEFAULT_DEFER_BAND, TwoStageInferrer, VotingInferrer
 from .inferrers import (
     AdapterUnreachableError,
-    ExternalAdapterConfig,
     HttpAdapter,
     Inferrer,
     MleInferrer,
@@ -45,6 +44,13 @@ def _format(text: str) -> str:
     return text
 
 
+def _bins(text: str) -> int:
+    bins = int(text)
+    if bins < 2:
+        raise ValueError(f"expected at least 2 bins, got {bins}")
+    return bins
+
+
 # option -> (parser for --config values, built-in default)
 _CONFIG_KEYS = {
     "seed": (int, None),
@@ -52,8 +58,10 @@ _CONFIG_KEYS = {
     "format": (_format, "tsv"),
     "tau": (float, mle.DEFAULT_TAU),
     "test_fraction": (float, 0.1),
-    "bins": (int, None),
+    "bins": (_bins, None),
 }
+# --config key -> its value's parser; an option's key is its name, spelled with "_" or "-"
+_CONFIG_FILE_KEYS = {key: parse for attr, (parse, _) in _CONFIG_KEYS.items() for key in (attr, attr.replace("_", "-"))}
 
 # A command's (out_dir, name, inputs, configs): main writes the run manifest once the command's data is freed
 _Manifest = tuple[Path, str, Sequence[str | Path], Sequence[str | Path]]
@@ -117,9 +125,11 @@ def _build_twostage(path: str, id: str | None, config_paths: list[Path], models:
     voters = SPEC; SPEC; SPEC     exactly three voting fallbacks
     id = NAME                     optional inferrer id
     """
-    fields = parse_kv_file(path)
+    fields = parse_kv_file(path, dict.fromkeys(("model", "band", "fallback", "voters", "id"), str))
     if "model" not in fields:
         raise ValueError(f"{path}: two-stage config requires model =")
+    if ("fallback" in fields) == ("voters" in fields):
+        raise ValueError(f"{path}: two-stage config needs exactly one of fallback = and voters =")
     model_path = Path(_beside(path, fields["model"]))
     config_paths.append(model_path)
     model = _model(model_path, models)
@@ -139,10 +149,8 @@ def _build_twostage(path: str, id: str | None, config_paths: list[Path], models:
             raise ValueError(f"{path}: voters must list exactly 3 specs")
         voters = [build_inferrer(spec.strip(), config_paths, models, path) for spec in specs]
         fallback: Inferrer = VotingInferrer(voters)
-    elif "fallback" in fields:
-        fallback = build_inferrer(fields["fallback"], config_paths, models, path)
     else:
-        raise ValueError(f"{path}: two-stage config requires fallback = or voters =")
+        fallback = build_inferrer(fields["fallback"], config_paths, models, path)
     return TwoStageInferrer(model, fallback, band, id=id or fields.get("id"))
 
 
@@ -176,9 +184,7 @@ def build_inferrer(
         return MockInferrer.from_json(arg, id=id)
     if kind == "twostage":
         return _build_twostage(arg, id, config_paths, models)
-    config = parse_adapter_config(arg)
-    # _replace would skip the config's checks
-    return HttpAdapter(config if id is None else ExternalAdapterConfig(**{**config._asdict(), "id": id}))
+    return HttpAdapter(parse_adapter_config(arg, id))
 
 
 # --- commands -----------------------------------------------------------------
@@ -548,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="dataset statistics, uniqueness, and overlap")
     p.add_argument("tables", nargs="+", help="table files")
-    p.add_argument("--bins", type=int, default=None, help="also export ambiguity histograms")
+    p.add_argument("--bins", type=_bins, default=None, help="also export ambiguity histograms of this many (>= 2) bins")
     _common_flags(p)
     p.set_defaults(func=cmd_stats)
 
@@ -600,16 +606,11 @@ def _apply_config(args: argparse.Namespace) -> None:
     config: dict[str, object] = {}
     keys: dict[str, str] = {}  # option -> the config key that set it
     if args.config:
-        for key, value in parse_kv_file(args.config).items():
+        for key, value in parse_kv_file(args.config, _CONFIG_FILE_KEYS).items():
             attr = key.replace("-", "_")
-            if attr not in _CONFIG_KEYS:
-                raise ValueError(f"{args.config}: unknown config key {key!r}")
             if keys.setdefault(attr, key) != key:
                 raise ValueError(f"{args.config}: config keys {keys[attr]!r} and {key!r} set one option")
-            try:
-                config[attr] = _CONFIG_KEYS[attr][0](value)
-            except ValueError as exc:
-                raise ValueError(f"{args.config}: config key {key!r}: {exc}") from None
+            config[attr] = value
     for attr, (_, builtin) in _CONFIG_KEYS.items():
         if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, config.get(attr, builtin))

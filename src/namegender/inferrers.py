@@ -18,7 +18,7 @@ from abc import ABC, abstractmethod
 from contextlib import closing
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .corpus import GenderCounts
@@ -232,9 +232,10 @@ class ExternalAdapterConfig(_AdapterFields):
             raise AdapterConfigError(f"bad confidence_scale {self.confidence_scale!r}")
 
 
-def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Parse a `key = value` config file; # starts a comment line, and a key may appear once."""
-    fields: dict[str, str] = {}
+def parse_kv_file(path: str | Path, keys: Mapping[str, Callable[[str], object]]) -> dict[str, object]:
+    """Parse a `key = value` config file: # starts a comment line, each key is one of keys and may appear once,
+    and keys[key] parses its value; a ValueError from that names the file and the key."""
+    fields: dict[str, object] = {}
     first_lines: dict[str, int] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
@@ -244,48 +245,47 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
         if not sep:
             raise ValueError(f"{path}:{line_no}: expected key = value")
         key = key.strip()
+        if key not in keys:
+            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
         if key in first_lines:
             raise ValueError(f"{path}:{line_no}: key {key!r} repeated (first at line {first_lines[key]})")
         first_lines[key] = line_no
-        fields[key] = value.strip()
+        try:
+            fields[key] = keys[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: config key {key!r}: {exc}") from None
     return fields
 
 
-_ADAPTER_SCALARS = {
-    "rate_limit": float,
-    "max_attempts": int,
-    "backoff": float,
-    "timeout": float,
+# An adapter config's keys: one per field, and a `label.<gender> = alias, alias, ...` line per label
+_ADAPTER_KEYS: dict[str, Callable[[str], object]] = {
+    **{field: str for field in _AdapterFields._fields if field != "label_aliases"},
+    **dict(rate_limit=float, max_attempts=int, backoff=float, timeout=float, default_label=GenderLabel),
+    **{f"label.{label.value}": str for label in GenderLabel},
 }
 
 
-def parse_adapter_config(path: str | Path) -> ExternalAdapterConfig:
-    """Build an adapter config from a key=value file.
+def parse_adapter_config(path: str | Path, id: str | None = None) -> ExternalAdapterConfig:
+    """Build an adapter config from a key=value file, named id when one is given instead of the file's id.
 
     Label aliases use `label.<gender> = alias, alias, ...` lines; anything
     not listed maps through `default_label` or raises at inference time.
     """
-    fields = parse_kv_file(path)
-    kwargs: dict[str, object] = {}
-    aliases: dict[str, GenderLabel] = {}
-    for key, value in fields.items():
-        if key.startswith("label."):
-            target = GenderLabel(key[len("label.") :])
-            for alias in value.split(","):
-                aliases[alias.strip().lower()] = target
-        elif key == "default_label":
-            kwargs["default_label"] = GenderLabel(value)
-        elif key in _ADAPTER_SCALARS:
-            kwargs[key] = _ADAPTER_SCALARS[key](value)
-        elif key in ("id", "endpoint", "credential_env", "label_path", "confidence_path", "confidence_scale", "cache_dir"):
-            kwargs[key] = value
-        else:
-            raise AdapterConfigError(f"{path}: unknown config key {key!r}")
-    if "id" not in kwargs or "endpoint" not in kwargs:
+    try:
+        fields = parse_kv_file(path, _ADAPTER_KEYS)
+    except ValueError as exc:
+        raise AdapterConfigError(str(exc)) from None
+    if "id" not in fields or "endpoint" not in fields:
         raise AdapterConfigError(f"{path}: id and endpoint are required")
+    aliases: dict[str, GenderLabel] = {}
+    for key in [key for key in fields if key.startswith("label.")]:
+        for alias in fields.pop(key).split(","):  # type: ignore[attr-defined]
+            aliases[alias.strip().lower()] = GenderLabel(key[len("label.") :])
     if aliases:
-        kwargs["label_aliases"] = aliases
-    return ExternalAdapterConfig(**kwargs)  # type: ignore[arg-type]
+        fields["label_aliases"] = aliases
+    if id is not None:
+        fields["id"] = id
+    return ExternalAdapterConfig(**fields)  # type: ignore[arg-type]
 
 
 # Fetched names are stored one transaction per this many, so an interrupted

@@ -54,10 +54,6 @@ class Prediction(_PredictionFields):
             if not 0.0 <= self.p_female <= 1.0:
                 raise ValueError(f"p_female {self.p_female} outside [0, 1]")
 
-    @property
-    def p_male(self) -> float | None:
-        return None if self.p_female is None else 1.0 - self.p_female
-
 
 def mle_female(counts: GenderCounts) -> float:
     """Fraction of a name's labeled occurrences that are female."""

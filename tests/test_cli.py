@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from namegender import cli
 from namegender.corpus import FrequencyTable, GenderCounts, NameType, pairwise_overlap, read_table
-from namegender.inferrers import AdapterConfigError, HttpAdapter, parse_adapter_config
+from namegender.inferrers import HttpAdapter, parse_adapter_config
 from namegender.mle import load_model, save_model, train
 
 from conftest import FakeResponse, FakeSession
@@ -488,6 +488,21 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
+def test_readme_config_examples_build(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [block.split("\n", 1)[1] for block in readme.split("```")[1::2]]  # each fenced block's text
+    adapter = next(block for block in blocks if "\nendpoint = " in block)
+    twostage = next(block for block in blocks if "\nmodel = " in block)
+    (tmp_path / "svc.conf").write_text(adapter, encoding="utf-8")
+    (tmp_path / "ens.conf").write_text(twostage, encoding="utf-8")
+    (tmp_path / "work").mkdir()
+    save_model(train(FrequencyTable({"ana": GenderCounts(9, 1)}, NameType.FIRST, "all")), tmp_path / "work" / "all.model.tsv")
+    config = parse_adapter_config(tmp_path / "svc.conf")
+    assert (config.id, config.confidence_scale, config.label_aliases["mostly male"].value) == ("svc", "percent", "male")
+    ensemble = cli.build_inferrer(f"twostage:{tmp_path / 'ens.conf'}")
+    assert (ensemble.id, ensemble.defer_band, ensemble.fallback.config) == ("hybrid", (0.25, 0.75), config)
+
+
 @pytest.mark.parametrize("text", ["", "\n", "  \t\r\n\r\u3000\n \x0b"])
 def test_infer_without_names_fails_and_writes_no_file(tmp_path, capsys, monkeypatch, text):
     model = tmp_path / "t.model.tsv"
@@ -690,10 +705,8 @@ def test_http_spec_id_names_the_adapter_its_config_and_its_store(tmp_path, monke
     assert adapter.config._replace(id="svc") == parse_adapter_config(conf)
     assert adapter.infer("ana").source == "x"
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["x.sqlite"]
-    # the renamed copy is checked as a parsed config is: _replace builds an unchecked one
-    monkeypatch.setattr(cli, "parse_adapter_config", lambda path: parse_adapter_config(path)._replace(timeout=0.0))
-    with pytest.raises(AdapterConfigError, match="timeout must be positive"):
-        cli.build_inferrer(f"x=http:{conf}")
+    # the config is built once, with the spec's id, so it gets every check a parsed config gets
+    assert parse_adapter_config(conf, "x") == adapter.config
 
 
 def test_eval_structured_format(tmp_path):
@@ -782,6 +795,25 @@ def test_twostage_voters_are_counted_before_any_voter_is_built(tmp_path, capsys)
     assert run("eval", "--test", str(testset), "--inferrer", f"twostage:{ensemble}",
                "--out-dir", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"namegender: error: {ensemble}: voters must list exactly 3 specs\n"
+
+
+@pytest.mark.parametrize("fallbacks", [["fallback = mock:EMPTY", "voters = mock:EMPTY; mock:EMPTY; mock:EMPTY"], []])
+def test_twostage_config_needs_exactly_one_of_fallback_and_voters(tmp_path, capsys, fallbacks):
+    model = tmp_path / "m.model.tsv"
+    save_model(train(FrequencyTable({"ana": GenderCounts(9, 1)}, NameType.FIRST, "m")), model)
+    write_mock_file(tmp_path / "empty.json", {})
+    ensemble = tmp_path / "ens.conf"
+    ensemble.write_text("\n".join([f"model = {model}", *fallbacks]).replace("EMPTY", "empty.json") + "\n",
+                        encoding="utf-8")
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female")])
+    capsys.readouterr()
+    assert run("eval", "--test", str(testset), "--inferrer", f"twostage:{ensemble}",
+               "--out-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        f"namegender: error: {ensemble}: two-stage config needs exactly one of fallback = and voters =\n"
+    )
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_twostage_spec_paths_resolve_against_the_config_directory(tmp_path, monkeypatch):
@@ -937,6 +969,45 @@ def test_config_refuses_two_spellings_of_one_option(corpus_csv, tmp_path, capsys
         f"namegender: error: {config}: config keys 'out-dir' and 'out_dir' set one option\n"
     )
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("kind, line", [("config", 2), ("http", 3), ("twostage", 3)])
+def test_every_key_value_file_refuses_an_unknown_key_naming_its_line(tmp_path, capsys, kind, line):
+    model = tmp_path / "m.model.tsv"
+    save_model(train(FrequencyTable({"ana": GenderCounts(9, 1)}, NameType.FIRST, "m")), model)
+    write_mock_file(tmp_path / "empty.json", {})
+    conf = tmp_path / f"{kind}.conf"
+    text, key, flags = {
+        "config": ("format = tsv\nsed = 2\n", "sed", ["--inferrer", f"mle:{model}", "--config", str(conf)]),
+        "http": ("id = svc\nendpoint = http://127.0.0.1:9/?name={name}\nrate_limt = 5\n", "rate_limt",
+                 ["--inferrer", f"http:{conf}"]),
+        "twostage": (f"model = {model}\nfallback = mock:empty.json\nbnad = 0.0, 0.99\n", "bnad",
+                     ["--inferrer", f"twostage:{conf}"]),
+    }[kind]
+    conf.write_text(text, encoding="utf-8")
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female")])
+    capsys.readouterr()
+    assert run("eval", "--test", str(testset), *flags, "--out-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"namegender: error: {conf}:{line}: unknown config key {key!r}\n"
+    assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("bins", ["1", "0", "-2"])
+def test_stats_refuses_fewer_than_two_bins_from_the_flag_and_the_config(corpus_csv, tmp_path, capsys, bins):
+    out = tmp_path / "out"
+    table_path = ingest_tiny(corpus_csv, out)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit:
+        run("stats", str(table_path), "--bins", bins, "--out-dir", str(out))
+    assert exit.value.code == 2 and "argument --bins" in capsys.readouterr().err
+    config = tmp_path / "stats.conf"
+    config.write_text(f"bins = {bins}\n", encoding="utf-8")
+    assert run("stats", str(table_path), "--config", str(config), "--out-dir", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"namegender: error: {config}: config key 'bins': expected at least 2 bins, got {bins}\n"
+    )
+    assert not (out / "stats.tsv").exists()
 
 
 @pytest.mark.parametrize("line, key", [("format = xml", "format"), ("seed = x", "seed"), ("test-fraction = y", "test-fraction")])

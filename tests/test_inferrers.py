@@ -276,7 +276,7 @@ def test_records_are_read_only(record, field):
 def test_parse_kv_file(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("# comment\nkey = value\nother=1\n\n", encoding="utf-8")
-    assert parse_kv_file(path) == {"key": "value", "other": "1"}
+    assert parse_kv_file(path, {"key": str, "other": int, "unused": float}) == {"key": "value", "other": 1}
 
 
 @pytest.mark.parametrize("first, again", [
@@ -318,11 +318,34 @@ def test_parse_adapter_config(tmp_path):
 
 def test_parse_adapter_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "svc.conf"
-    # removed keys fail like any other unknown key
-    for line in ("bogus = 1", "max_in_flight = 2", "batch_limit = 10"):
+    # removed keys, the record's label_aliases field and a misspelled label fail like any other unknown key
+    for line in ("bogus = 1", "max_in_flight = 2", "batch_limit = 10", "label_aliases = f", "label.femal = f"):
         path.write_text(f"id = x\nendpoint = https://e/{{name}}\n{line}\n", encoding="utf-8")
-        with pytest.raises(AdapterConfigError, match=f"unknown config key '{line.split()[0]}'"):
+        with pytest.raises(AdapterConfigError) as error:
             parse_adapter_config(path)
+        assert str(error.value) == f"{path}:3: unknown config key {line.split()[0]!r}"
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("rate_limit = fast", "could not convert string to float: 'fast'"),
+    ("max_attempts = 2.5", "invalid literal for int() with base 10: '2.5'"),
+    ("default_label = f", "'f' is not a valid GenderLabel"),
+])
+def test_parse_adapter_config_bad_value_names_the_file_and_the_key(tmp_path, line, reason):
+    path = tmp_path / "svc.conf"
+    path.write_text(f"id = x\n{line}\nendpoint = https://e/{{name}}\n", encoding="utf-8")
+    with pytest.raises(AdapterConfigError) as error:
+        parse_adapter_config(path)
+    assert str(error.value) == f"{path}: config key {line.split()[0]!r}: {reason}"
+
+
+def test_parse_adapter_config_takes_the_spec_id_and_checks_the_config(tmp_path):
+    path = tmp_path / "svc.conf"
+    path.write_text("id = svc\nendpoint = https://e/{name}\n", encoding="utf-8")
+    assert parse_adapter_config(path, "x") == parse_adapter_config(path)._replace(id="x")
+    path.write_text("id = svc\nendpoint = https://e/{name}\ntimeout = 0\n", encoding="utf-8")
+    with pytest.raises(AdapterConfigError, match="timeout must be positive"):
+        parse_adapter_config(path, "x")
 
 
 # --- HTTP adapter ----------------------------------------------------------------

@@ -207,8 +207,3 @@ def test_prediction_validates_probability_presence():
         Prediction(GenderLabel.UNKNOWN, 0.5, "s")
     with pytest.raises(ValueError):
         Prediction(GenderLabel.MALE, 1.5, "s")
-
-
-def test_p_male_is_complement():
-    assert Prediction(GenderLabel.FEMALE, 0.8, "s").p_male == pytest.approx(0.2)
-    assert Prediction(GenderLabel.UNKNOWN, None, "s").p_male is None

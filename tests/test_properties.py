@@ -1,7 +1,8 @@
 """Property tests: ingestion and batch inference match per-row and per-name
 references; scoring, error analysis and report rendering agree; table files,
 merges and full-to-first-name folds match the list-building code they
-replaced; the HTTP adapter degrades per name under injected faults."""
+replaced; the HTTP adapter degrades per name under injected faults; a
+`key = value` file reads back exactly its declared keys."""
 
 from __future__ import annotations
 
@@ -54,7 +55,14 @@ from namegender.evaluation import (
     score,
 )
 from namegender.ensemble import TwoStageInferrer, majority_vote
-from namegender.inferrers import AdapterUnreachableError, ExternalAdapterConfig, HttpAdapter, MleInferrer, MockInferrer
+from namegender.inferrers import (
+    AdapterUnreachableError,
+    ExternalAdapterConfig,
+    HttpAdapter,
+    MleInferrer,
+    MockInferrer,
+    parse_kv_file,
+)
 from namegender.mle import GenderLabel, MleModel, Prediction, train
 
 from conftest import FakeResponse
@@ -694,3 +702,36 @@ def test_http_adapter_degrades_per_name_and_stores_only_what_maps(names, scripts
         healthy = ScriptedSession({})
         assert HttpAdapter(config, session=healthy).infer_batch(names) == [GOOD[name][1] for name in names]
         assert sorted(name for name, _ in healthy.calls) == sorted(set(names) - set(stored))
+
+
+# A key holds no "=" or space and does not start with "#"; a value may hold "=", "#" and inner spaces.
+KV_KEYS = st.text("ab_.-#", min_size=1, max_size=4).filter(lambda key: not key.startswith("#"))
+KV_VALUES = st.one_of(st.builds(lambda text: (str, text.strip()), st.text("ab =#.", max_size=6)),
+                      st.builds(lambda n: (int, str(n)), st.integers(-99, 99)))
+KV_PADS = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@settings(deadline=None)
+@given(st.dictionaries(KV_KEYS, KV_VALUES, max_size=6), st.dictionaries(KV_KEYS, st.just(float), max_size=2), st.data())
+def test_parse_kv_file_reads_back_its_declared_keys_and_refuses_any_other(written, unused, data):
+    keys = {**unused, **{key: parse for key, (parse, _) in written.items()}}
+
+    def pad() -> str:
+        return data.draw(KV_PADS)
+
+    lines = [f"{pad()}{key}{pad()}={pad()}{text}{pad()}" for key, (_, text) in written.items()]
+    lines = data.draw(st.permutations(lines))
+    for extra in data.draw(st.lists(st.sampled_from(["", "   ", "# a = b", "  #c", "#"]), max_size=4)):
+        lines.insert(data.draw(st.integers(0, len(lines))), extra)
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.conf"
+        path.write_text(newline.join(lines) + newline, encoding="utf-8")
+        assert parse_kv_file(path, keys) == {key: parse(text) for key, (parse, text) in written.items()}
+        stray = data.draw(KV_KEYS.filter(lambda key: key not in keys))
+        at = data.draw(st.integers(0, len(lines)))
+        path.write_text(newline.join([*lines[:at], f"{pad()}{stray}{pad()}={pad()}1", *lines[at:]]) + newline,
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as error:
+            parse_kv_file(path, keys)
+        assert str(error.value) == f"{path}:{at + 1}: unknown config key {stray!r}"
