@@ -22,16 +22,8 @@ from typing import Callable, Iterator, Sequence, TextIO
 from . import __version__
 from . import analysis, corpus, evaluation, mle
 from .corpus import NameType
-from .ensemble import DEFAULT_DEFER_BAND, TwoStageInferrer, VotingInferrer
-from .inferrers import (
-    AdapterUnreachableError,
-    HttpAdapter,
-    Inferrer,
-    MleInferrer,
-    MockInferrer,
-    parse_adapter_config,
-    parse_kv_file,
-)
+from .ensemble import TwoStageInferrer, VotingInferrer, build_inferrers
+from .inferrers import AdapterUnreachableError, Inferrer, parse_kv_file
 
 logger = logging.getLogger("namegender")
 
@@ -44,10 +36,14 @@ def _format(text: str) -> str:
     return text
 
 
+class _BadValue(argparse.ArgumentTypeError, ValueError):
+    """A refused option value: argparse's usage error gives its reason, as parse_kv_file's error does."""
+
+
 def _bins(text: str) -> int:
     bins = int(text)
     if bins < 2:
-        raise ValueError(f"expected at least 2 bins, got {bins}")
+        raise _BadValue(f"expected at least 2 bins, got {bins}")
     return bins
 
 
@@ -94,99 +90,6 @@ def _write_manifest(args: argparse.Namespace, manifest: _Manifest) -> None:
     (out_dir / f"{name}.manifest.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-# --- inferrer specs -----------------------------------------------------------
-#
-# SPEC := [id=]kind:arg
-#   mle:MODEL_FILE        trained frequency model
-#   mock:JSON_FILE        fixed name -> prediction map
-#   http:CONFIG_FILE      external service adapter
-#   twostage:CONFIG_FILE  two-stage ensemble (see _build_twostage)
-
-
-def _model(path: str | Path, models: dict[Path, mle.MleModel]) -> mle.MleModel:
-    """The model in the file at path, read once per command: models maps each resolved path to its model."""
-    key = Path(path).resolve()
-    if key not in models:
-        models[key] = mle.load_model(path)
-    return models[key]
-
-
-def _beside(config_file: str, path: str) -> str:
-    """path as written in config_file: a relative path resolves against the file's directory."""
-    return path if Path(path).is_absolute() else str((Path(config_file).parent / path).resolve())
-
-
-def _build_twostage(path: str, id: str | None, config_paths: list[Path], models: dict[Path, mle.MleModel]) -> Inferrer:
-    """Two-stage config file keys (relative paths resolve against the file's directory):
-
-    model = MODEL_FILE            stage-1 frequency model
-    band = 0.25, 0.75             defer band (optional)
-    fallback = SPEC               single fallback inferrer, or
-    voters = SPEC; SPEC; SPEC     exactly three voting fallbacks
-    id = NAME                     optional inferrer id
-    """
-    fields = parse_kv_file(path, dict.fromkeys(("model", "band", "fallback", "voters", "id"), str))
-    if "model" not in fields:
-        raise ValueError(f"{path}: two-stage config requires model =")
-    if ("fallback" in fields) == ("voters" in fields):
-        raise ValueError(f"{path}: two-stage config needs exactly one of fallback = and voters =")
-    model_path = Path(_beside(path, fields["model"]))
-    config_paths.append(model_path)
-    model = _model(model_path, models)
-    band = DEFAULT_DEFER_BAND
-    if "band" in fields:
-        try:
-            lo, hi = (float(x) for x in fields["band"].split(","))
-            valid = 0.0 <= lo < hi <= 1.0
-        except ValueError:
-            valid = False
-        if not valid:
-            raise ValueError(f"{path}: band = {fields['band']}: expected two numbers lo, hi with 0 <= lo < hi <= 1")
-        band = (lo, hi)
-    if "voters" in fields:
-        specs = fields["voters"].split(";")
-        if len(specs) != 3:
-            raise ValueError(f"{path}: voters must list exactly 3 specs")
-        voters = [build_inferrer(spec.strip(), config_paths, models, path) for spec in specs]
-        fallback: Inferrer = VotingInferrer(voters)
-    else:
-        fallback = build_inferrer(fields["fallback"], config_paths, models, path)
-    return TwoStageInferrer(model, fallback, band, id=id or fields.get("id"))
-
-
-def build_inferrer(
-    spec: str,
-    config_paths: list[Path] | None = None,
-    models: dict[Path, mle.MleModel] | None = None,
-    config_file: str | None = None,
-) -> Inferrer:
-    """Construct an inferrer from a [id=]kind:arg spec string; specs built with one
-    models map (resolved path -> model) share one model per file, so a command passes all its specs one map.
-    A spec read from the file at config_file has its relative arg resolved against that file's directory."""
-    if config_paths is None:
-        config_paths = []
-    if models is None:
-        models = {}
-    id = None
-    if "=" in spec.split(":", 1)[0]:
-        id, spec = spec.split("=", 1)
-    kind, sep, arg = spec.partition(":")
-    if not sep:
-        raise ValueError(f"bad inferrer spec {spec!r} (expected kind:arg)")
-    if kind not in ("mle", "mock", "http", "twostage"):
-        raise ValueError(f"unknown inferrer kind {kind!r}")
-    if config_file is not None:
-        arg = _beside(config_file, arg)
-    config_paths.append(Path(arg))
-    if kind == "mle":
-        return MleInferrer(_model(arg, models), id=id)
-    if kind == "mock":
-        return MockInferrer.from_json(arg, id=id)
-    if kind == "twostage":
-        return _build_twostage(arg, id, config_paths, models)
-    return HttpAdapter(parse_adapter_config(arg, id))
-
-
 # --- commands -----------------------------------------------------------------
 
 
@@ -221,7 +124,6 @@ def _parse_years(text: str) -> range:
 
 
 def cmd_ingest(args: argparse.Namespace) -> _Manifest:
-    out_dir = _out_dir(args.out_dir)
     if args.csv:
         if not args.name_col or not args.gender_col:
             raise ValueError("--csv requires --name-col and --gender-col")
@@ -240,8 +142,8 @@ def cmd_ingest(args: argparse.Namespace) -> _Manifest:
         years = _parse_years(args.years)
         table, report = corpus.ingest_ssa_years(args.ssa_dir, years, source_id=args.source_id)
         inputs = sorted(str(p) for p in (Path(args.ssa_dir) / f"yob{y}.txt" for y in years) if p.exists())
-    table_path = out_dir / f"{table.source_id}.table.tsv"
-    corpus.write_table(table, table_path)
+    out_dir = _out_dir(args.out_dir)
+    corpus.write_table(table, out_dir / f"{table.source_id}.table.tsv")
     _write_ingest_report(report, out_dir / f"{table.source_id}.ingest-report.tsv")
     logger.info("ingested %s: %d unique names, %d records retained, %d dropped",
                 table.source_id, len(table), report.retained, report.total_rows - report.retained)
@@ -249,7 +151,6 @@ def cmd_ingest(args: argparse.Namespace) -> _Manifest:
 
 
 def cmd_combine(args: argparse.Namespace) -> _Manifest:
-    out_dir = _out_dir(args.out_dir)
     tables = []
     for path in args.tables:
         table = corpus.read_table(path)
@@ -261,14 +162,15 @@ def cmd_combine(args: argparse.Namespace) -> _Manifest:
     merged = corpus.merge_tables(tables)
     if args.id:
         merged = corpus.FrequencyTable(merged.entries, merged.name_type, args.id)
+    out_dir = _out_dir(args.out_dir)
     corpus.write_table(merged, out_dir / f"{merged.source_id}.table.tsv")
     logger.info("combined %d tables into %s (%d unique names)", len(tables), merged.source_id, len(merged))
     return out_dir, "combine", args.tables, ()
 
 
 def cmd_stats(args: argparse.Namespace) -> _Manifest:
-    out_dir = _out_dir(args.out_dir)
     tables = [corpus.read_table(p) for p in args.tables]
+    out_dir = _out_dir(args.out_dir)
     document: dict[str, list[dict]] = {
         "datasets": [
             {"source_id": t.source_id, "name_type": t.name_type.value, **corpus.dataset_stats(t)._asdict()}
@@ -326,9 +228,9 @@ def cmd_stats(args: argparse.Namespace) -> _Manifest:
 def cmd_split(args: argparse.Namespace) -> _Manifest:
     if args.seed is None:
         raise ValueError("split requires --seed")
-    out_dir = _out_dir(args.out_dir)
     table = corpus.read_table(args.table)
     result = evaluation.split_dataset(table, args.test_fraction, args.seed)
+    out_dir = _out_dir(args.out_dir)
     corpus.write_table(result.train, out_dir / f"{result.train.source_id}.table.tsv")
     evaluation.write_testset(result.test, out_dir / f"{result.test.id}.test.tsv")
     ties_path = out_dir / f"{result.test.id}.ties.txt"
@@ -344,11 +246,10 @@ def cmd_split(args: argparse.Namespace) -> _Manifest:
 
 
 def cmd_train(args: argparse.Namespace) -> _Manifest:
-    out_dir = _out_dir(args.out_dir)
     table = corpus.read_table(args.table)
     model = mle.train(table, args.tau, args.model_id)
-    model_path = out_dir / f"{table.source_id}.model.tsv"
-    mle.save_model(model, model_path)
+    out_dir = _out_dir(args.out_dir)
+    mle.save_model(model, out_dir / f"{table.source_id}.model.tsv")
     logger.info("trained %s on %d names (tau=%g)", model.model_id, len(table), model.tau)
     return out_dir, "train", [args.table], ()
 
@@ -386,7 +287,7 @@ def _line_formatter(structured: bool) -> Callable[[Sequence[str], Sequence[mle.P
     """A function giving infer's output lines for one block, without the TSV header.
 
     The text around each name is formatted once per Prediction object: repeated
-    names and unknowns share one object (see MleInferrer). The cache holds each
+    names and unknowns share one object (see inferrers.py). The cache holds each
     Prediction it keys by id(), so the keys stay distinct.
     A structured line equals json.dumps(record, sort_keys=True): json writes a
     float (finite, as Prediction checks) as float.__repr__, and a mock's 1,
@@ -424,8 +325,7 @@ def cmd_infer(args: argparse.Namespace) -> _Manifest | None:
     spec = f"mle:{args.model}" if args.model else args.inferrer
     if not spec:
         raise ValueError("infer requires --model or --inferrer")
-    config_paths: list[Path] = []
-    inferrer = build_inferrer(spec, config_paths)
+    [inferrer], config_paths = build_inferrers([spec])
     format_block = _line_formatter(args.format == "structured")
     out_path = Path(args.out) if args.out else None
     sink = None
@@ -469,11 +369,8 @@ def _tie_notes(inferrers: Sequence[Inferrer]) -> list[str]:
 
 
 def cmd_eval(args: argparse.Namespace) -> _Manifest:
-    out_dir = _out_dir(args.out_dir)
     testsets = [evaluation.read_testset(p) for p in args.test]
-    config_paths: list[Path] = []
-    models: dict[Path, mle.MleModel] = {}
-    inferrers = [build_inferrer(spec, config_paths, models) for spec in args.inferrer]
+    inferrers, config_paths = build_inferrers(args.inferrer)
     skip: dict[str, set[str]] = {}
     for item in args.na or []:
         inferrer_id, sep, dataset_id = item.partition("=")
@@ -482,6 +379,7 @@ def cmd_eval(args: argparse.Namespace) -> _Manifest:
         skip.setdefault(inferrer_id, set()).add(dataset_id)
     report = evaluation.evaluate_run(testsets, inferrers, skip)
     report.notes.extend(_tie_notes(inferrers))
+    out_dir = _out_dir(args.out_dir)
     if args.format == "structured":
         document = {"records": report.to_records(), "notes": report.notes}
         (out_dir / "report.json").write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
@@ -492,14 +390,13 @@ def cmd_eval(args: argparse.Namespace) -> _Manifest:
 
 
 def cmd_analyze(args: argparse.Namespace) -> _Manifest:
-    out_dir = _out_dir(args.out_dir)
     testset = evaluation.read_testset(args.test)
-    config_paths: list[Path] = []
-    inferrer = build_inferrer(args.inferrer, config_paths)
+    [inferrer], config_paths = build_inferrers([args.inferrer])
     predictions = inferrer.infer_batch([name for name, _ in testset.names])
     rated = analysis.assign_rate_types(testset, predictions)
     if not rated:
         raise ValueError("no decided predictions to analyze")
+    out_dir = _out_dir(args.out_dir)
     analysis.write_length_export(analysis.length_histograms(rated), out_dir / "lengths.tsv")
     analysis.write_non_english_export(rated, out_dir / "non_english.tsv")
     for n, filename in ((2, "bigrams.tsv"), (3, "trigrams.tsv")):

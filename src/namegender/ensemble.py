@@ -11,12 +11,21 @@ and a tie yields unknown.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import Sequence
 
-from .inferrers import Inferrer, MleInferrer
+from . import mle
+from .inferrers import HttpAdapter, Inferrer, MleInferrer, MockInferrer, parse_adapter_config, parse_kv_file
 from .mle import GenderLabel, MleModel, Prediction
 
 DEFAULT_DEFER_BAND = (0.25, 0.75)
+
+
+def _check_band(lo: float, hi: float) -> tuple[float, float]:
+    """The defer band (lo, hi), if 0 <= lo < hi <= 1."""
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError("expected two numbers lo, hi with 0 <= lo < hi <= 1")
+    return lo, hi
 
 
 def majority_vote(predictions: Sequence[Prediction], source: str = "vote") -> Prediction:
@@ -77,12 +86,9 @@ class TwoStageInferrer(Inferrer):
         defer_band: tuple[float, float] = DEFAULT_DEFER_BAND,
         id: str | None = None,
     ) -> None:
-        lo, hi = defer_band
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError(f"bad defer band [{lo}, {hi}]")
+        self.defer_band = _check_band(*defer_band)
         super().__init__(f"{primary.model_id}+{fallback.id}" if id is None else id)
         self.fallback = fallback
-        self.defer_band = defer_band
         self._stage1 = MleInferrer(primary, id=f"stage1:{primary.model_id}")
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
@@ -94,3 +100,87 @@ class TwoStageInferrer(Inferrer):
             for i, pred in zip(deferred, answers):
                 out[i] = Prediction(pred.label, pred.p_female, f"stage2:{pred.source}")
         return out
+
+
+# --- inferrer specs -----------------------------------------------------------
+
+
+def _band(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:  # not two numbers, which the check refuses with the rule's message
+        lo = hi = math.nan
+    return _check_band(lo, hi)
+
+
+def _voters(text: str) -> list[str]:
+    specs = [spec.strip() for spec in text.split(";")]
+    if len(specs) != 3:
+        raise ValueError(f"expected exactly 3 specs separated by ';', got {len(specs)}")
+    return specs
+
+
+# A two-stage config's keys: model = MODEL_FILE (required), band = lo, hi (optional), id = NAME (optional),
+# and one of fallback = SPEC and voters = SPEC; SPEC; SPEC. Relative paths resolve against the file's directory.
+_TWOSTAGE_KEYS = {"model": str, "band": _band, "fallback": str, "voters": _voters, "id": str}
+
+
+def build_inferrers(specs: Sequence[str]) -> tuple[list[Inferrer], list[Path]]:
+    """The inferrers of [id=]kind:arg specs, and the path of every file they read. kind:arg is one of
+
+    mle:MODEL_FILE        trained frequency model
+    mock:JSON_FILE        fixed name -> prediction map
+    http:CONFIG_FILE      external service adapter
+    twostage:CONFIG_FILE  two-stage ensemble (see _TWOSTAGE_KEYS)
+
+    The specs share one model per model file, however its path is written.
+    """
+    paths: list[Path] = []
+    models: dict[Path, MleModel] = {}  # resolved path -> model, freed when the call returns
+    return [_build(spec, paths, models) for spec in specs], paths
+
+
+def _model(path: str | Path, models: dict[Path, MleModel]) -> MleModel:
+    key = Path(path).resolve()
+    if key not in models:
+        models[key] = mle.load_model(path)
+    return models[key]
+
+
+def _beside(config_file: str, path: str) -> str:
+    """path as written in config_file: a relative path resolves against the file's directory."""
+    return path if Path(path).is_absolute() else str((Path(config_file).parent / path).resolve())
+
+
+def _build(spec: str, paths: list[Path], models: dict[Path, MleModel], config_file: str | None = None) -> Inferrer:
+    """The inferrer of one spec, written in the file at config_file if one is given."""
+    id = None
+    if "=" in spec.split(":", 1)[0]:
+        id, spec = spec.split("=", 1)
+    kind, sep, arg = spec.partition(":")
+    if not sep:
+        raise ValueError(f"bad inferrer spec {spec!r} (expected kind:arg)")
+    if kind not in ("mle", "mock", "http", "twostage"):
+        raise ValueError(f"unknown inferrer kind {kind!r}")
+    if config_file is not None:
+        arg = _beside(config_file, arg)
+    paths.append(Path(arg))
+    if kind == "mle":
+        return MleInferrer(_model(arg, models), id=id)
+    if kind == "mock":
+        return MockInferrer.from_json(arg, id=id)
+    if kind == "http":
+        return HttpAdapter(parse_adapter_config(arg, id))
+    fields = parse_kv_file(arg, _TWOSTAGE_KEYS)
+    if "model" not in fields:
+        raise ValueError(f"{arg}: two-stage config requires model =")
+    if ("fallback" in fields) == ("voters" in fields):
+        raise ValueError(f"{arg}: two-stage config needs exactly one of fallback = and voters =")
+    model_path = Path(_beside(arg, fields["model"]))
+    paths.append(model_path)
+    model = _model(model_path, models)
+    if "voters" in fields:
+        fallback: Inferrer = VotingInferrer([_build(voter, paths, models, arg) for voter in fields["voters"]])
+    else:
+        fallback = _build(fields["fallback"], paths, models, arg)
+    return TwoStageInferrer(model, fallback, fields.get("band", DEFAULT_DEFER_BAND), id=id or fields.get("id"))

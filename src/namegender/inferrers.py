@@ -285,7 +285,10 @@ def parse_adapter_config(path: str | Path, id: str | None = None) -> ExternalAda
         fields["label_aliases"] = aliases
     if id is not None:
         fields["id"] = id
-    return ExternalAdapterConfig(**fields)  # type: ignore[arg-type]
+    try:
+        return ExternalAdapterConfig(**fields)  # type: ignore[arg-type]
+    except AdapterConfigError as exc:
+        raise AdapterConfigError(f"{path}: {exc}") from None
 
 
 # Fetched names are stored one transaction per this many, so an interrupted

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import gc
 import hashlib
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from namegender import cli
 from namegender.corpus import FrequencyTable, GenderCounts, NameType, pairwise_overlap, read_table
+from namegender.ensemble import build_inferrers
 from namegender.inferrers import HttpAdapter, parse_adapter_config
 from namegender.mle import load_model, save_model, train
 
@@ -379,7 +381,7 @@ def test_streamed_infer_matches_the_unstreamed_output(lines, last, block_chars):
         names_path.write_text(text, encoding="utf-8", newline="")
         for fmt in ("tsv", "structured"):
             expected = _unstreamed_infer_output(names_path.read_text(encoding="utf-8"),
-                                                cli.build_inferrer(f"mle:{model_path}"), fmt == "structured")
+                                                build_inferrers([f"mle:{model_path}"])[0][0], fmt == "structured")
             for source in (str(names_path), "-"):
                 patch.setattr("sys.stdin", io.StringIO(text, newline=""))
                 out = io.StringIO()
@@ -462,6 +464,26 @@ def test_manifest_is_written_once_the_command_has_freed_its_tables(corpus_csv, t
     assert len(live) == 4 and not list(tmp_path.glob("failed/*"))
 
 
+def test_no_module_of_the_package_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        # annotations count as uses, a quoted one through the expression in its text
+        annotations = [a for n in ast.walk(tree)
+                       for a in (getattr(n, "annotation", None), getattr(n, "returns", None)) if a]
+        quoted = [ast.parse(c.value, mode="eval") for a in annotations for c in ast.walk(a)
+                  if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+        used = {n.id for root in (tree, *quoted) for n in ast.walk(root) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
 def test_the_package_and_corpus_imports_load_no_other_module_of_the_package():
     script = (
         "import sys\n"
@@ -499,7 +521,7 @@ def test_readme_config_examples_build(tmp_path):
     save_model(train(FrequencyTable({"ana": GenderCounts(9, 1)}, NameType.FIRST, "all")), tmp_path / "work" / "all.model.tsv")
     config = parse_adapter_config(tmp_path / "svc.conf")
     assert (config.id, config.confidence_scale, config.label_aliases["mostly male"].value) == ("svc", "percent", "male")
-    ensemble = cli.build_inferrer(f"twostage:{tmp_path / 'ens.conf'}")
+    [ensemble], _ = build_inferrers([f"twostage:{tmp_path / 'ens.conf'}"])
     assert (ensemble.id, ensemble.defer_band, ensemble.fallback.config) == ("hybrid", (0.25, 0.75), config)
 
 
@@ -700,7 +722,7 @@ def test_eval_refuses_duplicate_ids_and_unknown_na_cells(tmp_path, capsys, extra
 def test_http_spec_id_names_the_adapter_its_config_and_its_store(tmp_path, monkeypatch):
     conf = write_http_conf(tmp_path)
     monkeypatch.setattr("requests.Session", lambda: FakeSession(http_body))
-    adapter = cli.build_inferrer(f"x=http:{conf}")
+    [adapter], _ = build_inferrers([f"x=http:{conf}"])
     assert adapter.id == adapter.config.id == "x"
     assert adapter.config._replace(id="svc") == parse_adapter_config(conf)
     assert adapter.infer("ana").source == "x"
@@ -794,7 +816,9 @@ def test_twostage_voters_are_counted_before_any_voter_is_built(tmp_path, capsys)
     capsys.readouterr()
     assert run("eval", "--test", str(testset), "--inferrer", f"twostage:{ensemble}",
                "--out-dir", str(tmp_path / "out")) == 1
-    assert capsys.readouterr().err == f"namegender: error: {ensemble}: voters must list exactly 3 specs\n"
+    assert capsys.readouterr().err == (
+        f"namegender: error: {ensemble}: config key 'voters': expected exactly 3 specs separated by ';', got 4\n"
+    )
 
 
 @pytest.mark.parametrize("fallbacks", [["fallback = mock:EMPTY", "voters = mock:EMPTY; mock:EMPTY; mock:EMPTY"], []])
@@ -813,7 +837,30 @@ def test_twostage_config_needs_exactly_one_of_fallback_and_voters(tmp_path, caps
     assert capsys.readouterr().err == (
         f"namegender: error: {ensemble}: two-stage config needs exactly one of fallback = and voters =\n"
     )
-    assert not list((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "combine", "stats", "split", "train", "eval", "analyze"])
+def test_a_failed_command_leaves_no_out_dir(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.tsv")
+    model = tmp_path / "m.model.tsv"
+    save_model(train(FrequencyTable({"ana": GenderCounts(9, 1)}, NameType.FIRST, "m")), model)
+    conf = write_twostage_conf(tmp_path / "ens.conf", str(model), "bnad = 0, 1")
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female")])
+    argv = {
+        "ingest": ["--csv", missing, "--name-col", "name", "--gender-col", "gender"],
+        "combine": [missing],
+        "stats": [missing],
+        "split": [missing, "--seed", "1"],
+        "train": [missing],
+        "eval": ["--test", str(testset), "--inferrer", f"m=mle:{model}", "--inferrer", f"twostage:{conf}"],
+        "analyze": ["--test", str(testset), "--inferrer", f"twostage:{conf}"],
+    }[command]
+    capsys.readouterr()
+    assert run(command, *argv, "--out-dir", str(tmp_path / "out" / "run")) == 1
+    assert capsys.readouterr().err.startswith("namegender: error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_twostage_spec_paths_resolve_against_the_config_directory(tmp_path, monkeypatch):
@@ -859,7 +906,7 @@ def test_eval_twostage_bad_band_names_the_config_file_and_the_key(tmp_path, caps
     assert run("eval", "--test", str(testset), "--inferrer", f"twostage:{ensemble}",
                "--out-dir", str(tmp_path / "out")) == 1
     reason = "expected two numbers lo, hi with 0 <= lo < hi <= 1"
-    assert capsys.readouterr().err == f"namegender: error: {ensemble}: band = {band}: {reason}\n"
+    assert capsys.readouterr().err == f"namegender: error: {ensemble}: config key 'band': {reason}\n"
 
 
 def test_eval_reads_each_model_file_once_per_command(tmp_path, monkeypatch):
@@ -1000,7 +1047,8 @@ def test_stats_refuses_fewer_than_two_bins_from_the_flag_and_the_config(corpus_c
     capsys.readouterr()
     with pytest.raises(SystemExit) as exit:
         run("stats", str(table_path), "--bins", bins, "--out-dir", str(out))
-    assert exit.value.code == 2 and "argument --bins" in capsys.readouterr().err
+    assert exit.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: argument --bins: expected at least 2 bins, got {bins}\n")
     config = tmp_path / "stats.conf"
     config.write_text(f"bins = {bins}\n", encoding="utf-8")
     assert run("stats", str(table_path), "--config", str(config), "--out-dir", str(out)) == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -193,12 +194,12 @@ def test_unknown_fallback_reduces_to_bare_model():
     assert inferrer.infer("nope").label is U
 
 
-def test_band_validation():
+# the numeric bands the CLI test feeds through a two-stage config's band = key
+@pytest.mark.parametrize("lo, hi", [(0.75, 0.25), (-0.1, 0.5), (0.8, 0.2), (0.25, 1.5), (math.nan, 0.5)])
+def test_band_validation(lo, hi):
     model = model_with({"a": (1, 0)})
-    with pytest.raises(ValueError):
-        TwoStageInferrer(model, CountingMock(), (0.75, 0.25))
-    with pytest.raises(ValueError):
-        TwoStageInferrer(model, CountingMock(), (-0.1, 0.5))
+    with pytest.raises(ValueError, match="^expected two numbers lo, hi with 0 <= lo < hi <= 1$"):
+        TwoStageInferrer(model, CountingMock(), (lo, hi))
 
 
 def test_batch_preserves_order_across_stages():

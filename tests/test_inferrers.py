@@ -348,6 +348,23 @@ def test_parse_adapter_config_takes_the_spec_id_and_checks_the_config(tmp_path):
         parse_adapter_config(path, "x")
 
 
+@pytest.mark.parametrize("key, value, reason", [
+    ("rate_limit", "0", "rate_limit must be positive"),
+    ("max_attempts", "0", "max_attempts must be >= 1"),
+    ("backoff", "-1", "backoff must be >= 0"),
+    ("timeout", "0", "timeout must be positive"),
+    ("endpoint", "https://e/", "endpoint template must contain {name}"),
+    ("confidence_scale", "percentage", "bad confidence_scale 'percentage'"),
+])
+def test_parse_adapter_config_checks_name_the_file(tmp_path, key, value, reason):
+    path = tmp_path / "svc.conf"
+    fields = {"id": "svc", "endpoint": "https://e/{name}", key: value}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()), encoding="utf-8")
+    with pytest.raises(AdapterConfigError) as error:
+        parse_adapter_config(path)
+    assert str(error.value) == f"{path}: {reason}"
+
+
 # --- HTTP adapter ----------------------------------------------------------------
 
 
