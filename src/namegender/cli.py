@@ -12,18 +12,36 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import logging
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, Iterator, Sequence, TextIO
 
-from . import __version__
-from . import analysis, corpus, evaluation, mle
+from . import __version__, corpus
 from .corpus import NameType
-from .ensemble import TwoStageInferrer, VotingInferrer, build_inferrers
-from .inferrers import AdapterUnreachableError, Inferrer, parse_kv_file
+
+
+def _lazy(name: str) -> ModuleType:
+    """The package's module name, compiled and run on its first attribute access.
+
+    So a command executes only the modules it uses. A module already imported
+    is returned as it is, so its classes keep their identity."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+analysis, ensemble, evaluation, inferrers, mle = map(_lazy, ("analysis", "ensemble", "evaluation", "inferrers", "mle"))
 
 logger = logging.getLogger("namegender")
 
@@ -52,7 +70,7 @@ _CONFIG_KEYS = {
     "seed": (int, None),
     "out_dir": (str, "."),
     "format": (_format, "tsv"),
-    "tau": (float, mle.DEFAULT_TAU),
+    "tau": (float, None),  # train falls back to mle.DEFAULT_TAU
     "test_fraction": (float, 0.1),
     "bins": (_bins, None),
 }
@@ -247,7 +265,7 @@ def cmd_split(args: argparse.Namespace) -> _Manifest:
 
 def cmd_train(args: argparse.Namespace) -> _Manifest:
     table = corpus.read_table(args.table)
-    model = mle.train(table, args.tau, args.model_id)
+    model = mle.train(table, mle.DEFAULT_TAU if args.tau is None else args.tau, args.model_id)
     out_dir = _out_dir(args.out_dir)
     mle.save_model(model, out_dir / f"{table.source_id}.model.tsv")
     logger.info("trained %s on %d names (tau=%g)", model.model_id, len(table), model.tau)
@@ -325,7 +343,7 @@ def cmd_infer(args: argparse.Namespace) -> _Manifest | None:
     spec = f"mle:{args.model}" if args.model else args.inferrer
     if not spec:
         raise ValueError("infer requires --model or --inferrer")
-    [inferrer], config_paths = build_inferrers([spec])
+    [inferrer], config_paths = ensemble.build_inferrers([spec])
     format_block = _line_formatter(args.format == "structured")
     out_path = Path(args.out) if args.out else None
     sink = None
@@ -357,28 +375,28 @@ def cmd_infer(args: argparse.Namespace) -> _Manifest | None:
     return out_path.parent, "infer", [] if args.names == "-" else [Path(args.names)], config_paths
 
 
-def _tie_notes(inferrers: Sequence[Inferrer]) -> list[str]:
+def _tie_notes(run: Sequence[inferrers.Inferrer]) -> list[str]:
     """A note per two-stage inferrer whose voting fallback counted ties (specs build voting only there)."""
     return [
         f"{inferrer.id}: vote ties = {inferrer.fallback.tie_count}"
-        for inferrer in inferrers
-        if isinstance(inferrer, TwoStageInferrer)
-        and isinstance(inferrer.fallback, VotingInferrer)
+        for inferrer in run
+        if isinstance(inferrer, ensemble.TwoStageInferrer)
+        and isinstance(inferrer.fallback, ensemble.VotingInferrer)
         and inferrer.fallback.tie_count
     ]
 
 
 def cmd_eval(args: argparse.Namespace) -> _Manifest:
     testsets = [evaluation.read_testset(p) for p in args.test]
-    inferrers, config_paths = build_inferrers(args.inferrer)
+    run, config_paths = ensemble.build_inferrers(args.inferrer)
     skip: dict[str, set[str]] = {}
     for item in args.na or []:
         inferrer_id, sep, dataset_id = item.partition("=")
         if not sep:
             raise ValueError(f"bad --na value {item!r} (expected inferrer=dataset)")
         skip.setdefault(inferrer_id, set()).add(dataset_id)
-    report = evaluation.evaluate_run(testsets, inferrers, skip)
-    report.notes.extend(_tie_notes(inferrers))
+    report = evaluation.evaluate_run(testsets, run, skip)
+    report.notes.extend(_tie_notes(run))
     out_dir = _out_dir(args.out_dir)
     if args.format == "structured":
         document = {"records": report.to_records(), "notes": report.notes}
@@ -391,7 +409,7 @@ def cmd_eval(args: argparse.Namespace) -> _Manifest:
 
 def cmd_analyze(args: argparse.Namespace) -> _Manifest:
     testset = evaluation.read_testset(args.test)
-    [inferrer], config_paths = build_inferrers([args.inferrer])
+    [inferrer], config_paths = ensemble.build_inferrers([args.inferrer])
     predictions = inferrer.infer_batch([name for name, _ in testset.names])
     rated = analysis.assign_rate_types(testset, predictions)
     if not rated:
@@ -503,7 +521,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     config: dict[str, object] = {}
     keys: dict[str, str] = {}  # option -> the config key that set it
     if args.config:
-        for key, value in parse_kv_file(args.config, _CONFIG_FILE_KEYS).items():
+        for key, value in inferrers.parse_kv_file(args.config, _CONFIG_FILE_KEYS).items():
             attr = key.replace("-", "_")
             if keys.setdefault(attr, key) != key:
                 raise ValueError(f"{args.config}: config keys {keys[attr]!r} and {key!r} set one option")
@@ -526,7 +544,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if manifest is not None:
             _write_manifest(args, manifest)
         return 0
-    except (ValueError, OSError, AdapterUnreachableError) as exc:
+    except (ValueError, OSError, inferrers.AdapterUnreachableError) as exc:  # read only when an exception arrives
         print(f"namegender: error: {exc}", file=sys.stderr)
         return 1
 

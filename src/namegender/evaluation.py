@@ -19,11 +19,13 @@ import random
 from collections import Counter
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import FrequencyTable, TableParseError, _breaks_line
-from .inferrers import Inferrer
 from .mle import GenderLabel, Prediction
+
+if TYPE_CHECKING:  # only annotations name it, so split does not run inferrers
+    from .inferrers import Inferrer
 
 
 class SplitDegenerateError(ValueError):

@@ -34,6 +34,15 @@ def run(*argv: str) -> int:
     return cli.main(list(argv))
 
 
+def fresh_interpreter(script: str, **kwargs) -> subprocess.CompletedProcess:
+    """Runs script in a new interpreter that imports the package from this checkout; it must exit 0."""
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, **kwargs)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 @pytest.fixture
 def corpus_csv(tmp_path: Path) -> Path:
     path = tmp_path / "tiny.csv"
@@ -425,9 +434,7 @@ def test_one_name_infer_imports_neither_manifest_modules_nor_dataclasses(tmp_pat
         f"code = main(['infer', '-', '--model', {str(model)!r}])\n"
         f"print(code, *(module in sys.modules for module in {unused!r}), file=sys.stderr)\n"
     )
-    src = Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-c", script], input="mary\n", capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    done = fresh_interpreter(script, input="mary\n")
     assert done.stdout.splitlines()[1] == "mary\tfemale\t0.950000\tmle:t"
     assert done.stderr.split() == ["0", *["False"] * len(unused)]
     names = tmp_path / "names.txt"
@@ -490,13 +497,63 @@ def test_the_package_and_corpus_imports_load_no_other_module_of_the_package():
         "import {module}\n"
         "print(*sorted(m for m in sys.modules if m.startswith('namegender.')))\n"
     )
-    src = Path(cli.__file__).resolve().parents[1]
     loaded = {}
     for module in ("namegender", "namegender.corpus"):
-        done = subprocess.run([sys.executable, "-c", script.format(module=module)], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-        loaded[module] = done.stdout.split()
+        loaded[module] = fresh_interpreter(script.format(module=module)).stdout.split()
     assert loaded == {"namegender": [], "namegender.corpus": ["namegender.corpus"]}
+
+
+# Lists the package's modules that have run; one that cli registered lazily and nothing has read yet is
+# still an importlib.util._LazyModule (type() reads no attribute of it, so it does not load it).
+_EXECUTED = "sorted(m for m, mod in sys.modules.items() if m.startswith('namegender.') and type(mod) is types.ModuleType)"
+
+
+def test_a_command_executes_only_the_package_modules_it_uses(corpus_csv, tmp_path):
+    model = tmp_path / "t.model.tsv"
+    save_model(train(FrequencyTable({"mary": GenderCounts(95, 5)}, NameType.FIRST, "t"), 0.9), model)
+    ingest = ["ingest", "--csv", str(corpus_csv), "--name-col", "name", "--gender-col", "gender",
+              "--source-id", "tiny", "--out-dir", str(tmp_path / "out")]
+    infer = ["infer", "-", "--model", str(model)]
+    executed = {}
+    for argv in (ingest, infer):
+        script = (
+            "import sys, types\n"
+            "from namegender.cli import main\n"
+            f"code = main({argv!r})\n"
+            "registered = sorted(m for m in sys.modules if m.startswith('namegender.'))\n"
+            f"print(code, *registered, '|', *{_EXECUTED}, file=sys.stderr)\n"
+        )
+        done = fresh_interpreter(script, input="mary\n")
+        executed[argv[0]] = done.stderr.splitlines()[-1].split()  # after ingest's log line
+    # every module stays registered, so a caller that looks it up in sys.modules finds it
+    registered = ["namegender." + m for m in ("analysis", "cli", "corpus", "ensemble", "evaluation", "inferrers", "mle")]
+    assert executed == {
+        "ingest": ["0", *registered, "|", "namegender.cli", "namegender.corpus"],
+        "infer": ["0", *registered, "|", *("namegender." + m for m in ("cli", "corpus", "ensemble", "inferrers", "mle"))],
+    }
+
+
+def test_cli_reuses_a_module_imported_before_it_and_its_lazy_modules_can_be_patched():
+    script = (
+        "import sys, types\n"
+        "import pytest\n"
+        "import namegender, namegender.evaluation as evaluation\n"
+        "from namegender import cli\n"
+        "assert cli.evaluation is evaluation is namegender.evaluation is sys.modules['namegender.evaluation']\n"
+        f"print(*{_EXECUTED})\n"
+        "patch, sleep = pytest.MonkeyPatch(), lambda seconds: None\n"
+        "patch.setattr('namegender.inferrers.time.sleep', sleep)\n"
+        "assert cli.inferrers is namegender.inferrers is sys.modules['namegender.inferrers']\n"
+        "assert namegender.inferrers.time.sleep is sleep and type(namegender.inferrers) is types.ModuleType\n"
+        "patch.undo()\n"
+        "print(namegender.inferrers.time.sleep is sleep)\n"
+    )
+    done = fresh_interpreter(script)
+    # evaluation names inferrers.Inferrer only in annotations, so importing it runs neither inferrers nor ensemble
+    assert done.stdout.splitlines() == [
+        "namegender.cli namegender.corpus namegender.evaluation namegender.mle",
+        "False",
+    ]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
@@ -607,9 +664,7 @@ def test_requests_is_imported_only_to_fetch(tmp_path):
         f"print(cli.main({argv!r}))\n"
         "print('requests' in sys.modules)\n"
     )
-    src = Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    done = fresh_interpreter(script, cwd=tmp_path)
     assert done.stdout.split() == ["False", "False", "0", "False", "0", "False"]
     lines = (tmp_path / "out" / "report.tsv").read_text(encoding="utf-8").splitlines()
     assert lines[1] == "svc\tdemo\t2\t100.00\t100.00\t100.00\t100.00\t0.00"
