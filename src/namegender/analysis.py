@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .evaluation import LabeledTestSet, RateType, rate_type
 from .mle import Prediction
@@ -23,32 +23,30 @@ _ASCII_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
 
 def assign_rate_types(
     testset: LabeledTestSet, predictions: Sequence[Prediction]
-) -> list[tuple[str, RateType]]:
-    """Pair each decidedly-predicted name with its rate type."""
+) -> dict[RateType, list[str]]:
+    """Each rate type, in enum order, with its decidedly-predicted names in test-set order."""
     if len(predictions) != testset.size:
         raise ValueError(f"{len(predictions)} predictions for {testset.size} test names")
-    rated = ((name, rate_type(observed, pred.label)) for (name, observed), pred in zip(testset.names, predictions))
-    return [(name, rate) for name, rate in rated if rate is not None]
+    groups: dict[RateType, list[str]] = {rate: [] for rate in RateType}
+    for (name, observed), pred in zip(testset.names, predictions):
+        rate = rate_type(observed, pred.label)
+        if rate is not None:
+            groups[rate].append(name)
+    return groups
 
 
-def length_histograms(
-    rated: Iterable[tuple[str, RateType]]
-) -> dict[RateType, dict[int, float]]:
+def length_histograms(groups: Mapping[RateType, Sequence[str]]) -> dict[RateType, dict[int, float]]:
     """Per rate type: percentage of names at each character length.
 
     Rate types with no names are omitted (with a log notice).
     """
-    by_rate: dict[RateType, list[int]] = {}
-    for name, rate in rated:
-        by_rate.setdefault(rate, []).append(len(name))
     histograms: dict[RateType, dict[int, float]] = {}
-    for rate in RateType:
-        lengths = by_rate.get(rate)
-        if not lengths:
+    for rate, names in groups.items():
+        if not names:
             logger.info("length_histograms: no %s names, omitted", rate.value)
             continue
-        counts = sorted(Counter(lengths).items())
-        histograms[rate] = {length: 100.0 * count / len(lengths) for length, count in counts}
+        counts = sorted(Counter(map(len, names)).items())
+        histograms[rate] = {length: 100.0 * count / len(names) for length, count in counts}
     return histograms
 
 
@@ -57,22 +55,14 @@ def is_non_english(name: str) -> bool:
     return any(ch not in _ASCII_LOWER for ch in name)
 
 
-def non_english_distribution(
-    rated: Iterable[tuple[str, RateType]]
-) -> dict[RateType, float]:
+def non_english_distribution(groups: Mapping[RateType, Sequence[str]]) -> dict[RateType, float]:
     """Per rate type: percentage of names containing non a-z characters."""
-    totals: dict[RateType, int] = {}
-    hits: dict[RateType, int] = {}
-    for name, rate in rated:
-        totals[rate] = totals.get(rate, 0) + 1
-        if is_non_english(name):
-            hits[rate] = hits.get(rate, 0) + 1
     out = {}
-    for rate in RateType:
-        if rate not in totals:
+    for rate, names in groups.items():
+        if not names:
             logger.info("non_english_distribution: no %s names, omitted", rate.value)
             continue
-        out[rate] = 100.0 * hits.get(rate, 0) / totals[rate]
+        out[rate] = 100.0 * sum(map(is_non_english, names)) / len(names)
     return out
 
 
@@ -104,23 +94,14 @@ class NgramInventory(NamedTuple):
         return self.true_grams & self.false_grams
 
 
-def ngram_inventory(rated: Iterable[tuple[str, RateType]], n: int) -> NgramInventory:
+def ngram_inventory(groups: Mapping[RateType, Sequence[str]], n: int) -> NgramInventory:
     """Distinct-gram sets for the true (TF+TM) and false (FF+FM) categories."""
-    true_grams: set[str] = set()
-    false_grams: set[str] = set()
-    saw_true = saw_false = False
-    for name, rate in rated:
-        grams = extract_ngrams(name, n)
-        if rate in (RateType.TF, RateType.TM):
-            saw_true = True
-            true_grams.update(grams)
-        else:
-            saw_false = True
-            false_grams.update(grams)
-    if not saw_true or not saw_false:
-        missing = "true" if not saw_true else "false"
-        raise ValueError(f"ngram_inventory: {missing} category is empty")
-    return NgramInventory(n, frozenset(true_grams), frozenset(false_grams))
+    true_names = [*groups[RateType.TF], *groups[RateType.TM]]
+    false_names = [*groups[RateType.FF], *groups[RateType.FM]]
+    if not true_names or not false_names:
+        raise ValueError(f"ngram_inventory: {'false' if true_names else 'true'} category is empty")
+    grams = [frozenset(g for name in names for g in extract_ngrams(name, n)) for names in (true_names, false_names)]
+    return NgramInventory(n, *grams)
 
 
 # --- plot-ready exports -------------------------------------------------------
@@ -134,17 +115,10 @@ def write_length_export(histograms: dict[RateType, dict[int, float]], path: str 
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_non_english_export(
-    rated: Sequence[tuple[str, RateType]], path: str | Path
-) -> None:
-    distribution = non_english_distribution(rated)
-    counts: dict[RateType, int] = {}
-    for _, rate in rated:
-        counts[rate] = counts.get(rate, 0) + 1
+def write_non_english_export(groups: Mapping[RateType, Sequence[str]], path: str | Path) -> None:
     lines = ["rate_type\tnames\tnon_english_percentage"]
-    for rate in RateType:
-        if rate in distribution:
-            lines.append(f"{rate.value}\t{counts[rate]}\t{distribution[rate]:.4f}")
+    for rate, pct in non_english_distribution(groups).items():
+        lines.append(f"{rate.value}\t{len(groups[rate])}\t{pct:.4f}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

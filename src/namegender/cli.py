@@ -135,10 +135,10 @@ def _out_dir(path: str | Path) -> Path:
 
 def _parse_years(text: str) -> range:
     start, sep, end = text.partition("-")
-    if not sep:
-        year = int(start)
-        return range(year, year + 1)
-    return range(int(start), int(end) + 1)
+    with contextlib.suppress(ValueError):
+        if years := range(int(start), int(end if sep else start) + 1):
+            return years
+    raise _BadValue(f"expected YEAR or FIRST-LAST with FIRST <= LAST, got {text!r}")
 
 
 def cmd_ingest(args: argparse.Namespace) -> _Manifest:
@@ -157,9 +157,8 @@ def cmd_ingest(args: argparse.Namespace) -> _Manifest:
     else:
         if not args.years:
             raise ValueError("--ssa-dir requires --years")
-        years = _parse_years(args.years)
-        table, report = corpus.ingest_ssa_years(args.ssa_dir, years, source_id=args.source_id)
-        inputs = sorted(str(p) for p in (Path(args.ssa_dir) / f"yob{y}.txt" for y in years) if p.exists())
+        table, report = corpus.ingest_ssa_years(args.ssa_dir, args.years, source_id=args.source_id)
+        inputs = sorted(str(p) for p in (Path(args.ssa_dir) / f"yob{y}.txt" for y in args.years) if p.exists())
     out_dir = _out_dir(args.out_dir)
     corpus.write_table(table, out_dir / f"{table.source_id}.table.tsv")
     _write_ingest_report(report, out_dir / f"{table.source_id}.ingest-report.tsv")
@@ -411,15 +410,15 @@ def cmd_analyze(args: argparse.Namespace) -> _Manifest:
     testset = evaluation.read_testset(args.test)
     [inferrer], config_paths = ensemble.build_inferrers([args.inferrer])
     predictions = inferrer.infer_batch([name for name, _ in testset.names])
-    rated = analysis.assign_rate_types(testset, predictions)
-    if not rated:
+    groups = analysis.assign_rate_types(testset, predictions)
+    if not any(groups.values()):
         raise ValueError("no decided predictions to analyze")
     out_dir = _out_dir(args.out_dir)
-    analysis.write_length_export(analysis.length_histograms(rated), out_dir / "lengths.tsv")
-    analysis.write_non_english_export(rated, out_dir / "non_english.tsv")
+    analysis.write_length_export(analysis.length_histograms(groups), out_dir / "lengths.tsv")
+    analysis.write_non_english_export(groups, out_dir / "non_english.tsv")
     for n, filename in ((2, "bigrams.tsv"), (3, "trigrams.tsv")):
         try:
-            inventory = analysis.ngram_inventory(rated, n)
+            inventory = analysis.ngram_inventory(groups, n)
         except ValueError as exc:
             logger.warning("skipping %s: %s", filename, exc)
             continue
@@ -455,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gender-col", help="CSV column holding the gender tag")
     p.add_argument("--count-col", help="CSV column holding an occurrence count")
     p.add_argument("--name-type", choices=("first", "full"), default="first")
-    p.add_argument("--years", help="year range for --ssa-dir, e.g. 1937-1999")
+    p.add_argument("--years", type=_parse_years, help="year range for --ssa-dir, e.g. 1937-1999")
     p.add_argument("--source-id", help="identifier recorded in the table header")
     _common_flags(p)
     p.set_defaults(func=cmd_ingest)
@@ -521,7 +520,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     config: dict[str, object] = {}
     keys: dict[str, str] = {}  # option -> the config key that set it
     if args.config:
-        for key, value in inferrers.parse_kv_file(args.config, _CONFIG_FILE_KEYS).items():
+        for key, value in corpus.parse_kv_file(args.config, _CONFIG_FILE_KEYS).items():
             attr = key.replace("-", "_")
             if keys.setdefault(attr, key) != key:
                 raise ValueError(f"{args.config}: config keys {keys[attr]!r} and {key!r} set one option")

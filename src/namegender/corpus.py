@@ -3,8 +3,8 @@
 Reads labeled name corpora (generic CSV files and SSA-style yearly files),
 applies the cleaning rules, and accumulates per-name female/male occurrence
 counts into a FrequencyTable. Also provides table merging, dataset
-statistics, cross-dataset uniqueness/overlap analyses, and a lossless
-tab-separated serialization.
+statistics, cross-dataset uniqueness/overlap analyses, a lossless
+tab-separated serialization, and the reader of `key = value` config files.
 
 Cleaning rules applied by normalize_name, in order:
   1. whitespace is trimmed and interior runs collapsed to single spaces,
@@ -28,7 +28,7 @@ import unicodedata
 from collections import Counter
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -615,3 +615,28 @@ def _parse_counts(path: Path, line_no: int, rest: str) -> GenderCounts:
 
 def read_table(path: str | Path) -> FrequencyTable:
     return read_table_with_header(path)[0]
+
+
+def parse_kv_file(path: str | Path, keys: Mapping[str, Callable[[str], object]]) -> dict[str, object]:
+    """Parse a `key = value` config file: # starts a comment line, each key is one of keys and may appear once,
+    and keys[key] parses its value; a ValueError from that names the file and the key."""
+    fields: dict[str, object] = {}
+    first_lines: dict[str, int] = {}
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"{path}:{line_no}: expected key = value")
+        key = key.strip()
+        if key not in keys:
+            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in first_lines:
+            raise ValueError(f"{path}:{line_no}: key {key!r} repeated (first at line {first_lines[key]})")
+        first_lines[key] = line_no
+        try:
+            fields[key] = keys[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}: config key {key!r}: {exc}") from None
+    return fields

@@ -14,8 +14,8 @@ import math
 from pathlib import Path
 from typing import Sequence
 
-from . import mle
-from .inferrers import HttpAdapter, Inferrer, MleInferrer, MockInferrer, parse_adapter_config, parse_kv_file
+from . import corpus, mle
+from .inferrers import HttpAdapter, Inferrer, MleInferrer, MockInferrer, parse_adapter_config
 from .mle import GenderLabel, MleModel, Prediction
 
 DEFAULT_DEFER_BAND = (0.25, 0.75)
@@ -171,7 +171,7 @@ def _build(spec: str, paths: list[Path], models: dict[Path, MleModel], config_fi
         return MockInferrer.from_json(arg, id=id)
     if kind == "http":
         return HttpAdapter(parse_adapter_config(arg, id))
-    fields = parse_kv_file(arg, _TWOSTAGE_KEYS)
+    fields = corpus.parse_kv_file(arg, _TWOSTAGE_KEYS)
     if "model" not in fields:
         raise ValueError(f"{arg}: two-stage config requires model =")
     if ("fallback" in fields) == ("voters" in fields):

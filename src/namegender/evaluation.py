@@ -221,11 +221,7 @@ class ReportRow(NamedTuple):
     dataset_id: str
     size: int
     counts: ConfusionCounts | None
-    values: MetricValues | None
-    skipped: bool = False
-
-
-_METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "gbe")
+    values: MetricValues | None  # None marks an NA cell, which is not scored
 
 
 class MetricsReport:
@@ -235,41 +231,34 @@ class MetricsReport:
         self.rows = rows
         self.notes = [] if notes is None else notes
 
-    def inferrer_ids(self) -> list[str]:
-        return list(dict.fromkeys(row.inferrer_id for row in self.rows))
-
-    def aggregate_for(self, inferrer_id: str) -> tuple[MetricValues, int]:
-        """Aggregate metrics and the total size they cover."""
-        rows = [r for r in self.rows if r.inferrer_id == inferrer_id and not r.skipped]
-        values = {}
-        for key in _METRIC_KEYS:
-            values[key] = aggregate((getattr(r.values, key), r.size) for r in rows)
-        return MetricValues(**values), sum(r.size for r in rows)
-
     def _records(self) -> Iterator[dict[str, object]]:
         """Each inferrer's rows in order, then its ALL row; NA metrics are None."""
-        for inferrer_id in self.inferrer_ids():
-            agg, covered = self.aggregate_for(inferrer_id)
-            rows = [r for r in self.rows if r.inferrer_id == inferrer_id]
-            for row in rows + [ReportRow(inferrer_id, "ALL", covered, None, agg)]:
-                values = row.values._asdict() if row.values else dict.fromkeys(_METRIC_KEYS)
+        groups: dict[str, list[ReportRow]] = {}
+        for row in self.rows:
+            groups.setdefault(row.inferrer_id, []).append(row)
+        for inferrer_id, rows in groups.items():
+            scored = [r for r in rows if r.values is not None]
+            agg = MetricValues._make(
+                aggregate((r.values[i], r.size) for r in scored) for i in range(len(MetricValues._fields))
+            )
+            for row in rows + [ReportRow(inferrer_id, "ALL", sum(r.size for r in scored), None, agg)]:
                 yield {
                     "inferrer": row.inferrer_id,
                     "dataset": row.dataset_id,
                     "size": row.size,
-                    "skipped": row.skipped,
-                    **values,
+                    "skipped": row.values is None,
+                    **(dict.fromkeys(MetricValues._fields) if row.values is None else row.values._asdict()),
                 }
 
     def _cells(self) -> list[list[str]]:
         return [
             [r["inferrer"], r["dataset"], str(r["size"])]
-            + ["NA" if r[key] is None else f"{r[key]:.2f}" for key in _METRIC_KEYS]
+            + ["NA" if r[key] is None else f"{r[key]:.2f}" for key in MetricValues._fields]
             for r in self._records()
         ]
 
     def to_tsv(self) -> str:
-        lines = ["\t".join(("inferrer", "dataset", "size") + _METRIC_KEYS)]
+        lines = ["\t".join(("inferrer", "dataset", "size") + MetricValues._fields)]
         lines += ["\t".join(cells) for cells in self._cells()]
         return "\n".join(lines) + "\n"
 
@@ -300,11 +289,11 @@ def evaluate_run(
     id, or a skip cell naming an inferrer or dataset not in the run.
     """
     skip = skip or {}
-    inferrer_ids, dataset_ids = [inf.id for inf in inferrers], [ts.id for ts in testsets]
-    for kind, ids in (("inferrer", inferrer_ids), ("test-set", dataset_ids)):
+    infer_ids, dataset_ids = [inf.id for inf in inferrers], [ts.id for ts in testsets]
+    for kind, ids in (("inferrer", infer_ids), ("test-set", dataset_ids)):
         if len(set(ids)) < len(ids):
             raise ValueError(f"duplicate {kind} id {next(i for i in ids if ids.count(i) > 1)!r}")
-    bad = sorted(f"{i}={d}" for i, ds in skip.items() for d in ds if i not in inferrer_ids or d not in dataset_ids)
+    bad = sorted(f"{i}={d}" for i, ds in skip.items() for d in ds if i not in infer_ids or d not in dataset_ids)
     if bad:
         raise ValueError(f"NA cell {bad[0]} names an inferrer or dataset not in the run")
     rows = []
@@ -312,7 +301,7 @@ def evaluate_run(
         excluded = skip.get(inferrer.id, set())
         for ts in sorted(testsets, key=lambda t: t.id):
             if ts.id in excluded:
-                rows.append(ReportRow(inferrer.id, ts.id, ts.size, None, None, skipped=True))
+                rows.append(ReportRow(inferrer.id, ts.id, ts.size, None, None))
                 continue
             predictions = inferrer.infer_batch([name for name, _ in ts.names])
             counts = score(ts, predictions)
@@ -359,4 +348,6 @@ def read_testset(path: str | Path) -> LabeledTestSet:
             except ValueError:
                 raise TableParseError(path, line_no, f"bad gender {raw_label!r}") from None
             pairs.append((name, label))
+    if not pairs:
+        raise ValueError(f"{path}: no test names")
     return LabeledTestSet(set_id, tuple(pairs))

@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 from urllib.parse import quote
 
-from .corpus import GenderCounts
+from .corpus import GenderCounts, parse_kv_file
 from .mle import GenderLabel, MleModel, Prediction
 
 logger = logging.getLogger(__name__)
@@ -230,31 +230,6 @@ class ExternalAdapterConfig(_AdapterFields):
             raise AdapterConfigError("endpoint template must contain {name}")
         if self.confidence_scale not in ("unit", "percent"):
             raise AdapterConfigError(f"bad confidence_scale {self.confidence_scale!r}")
-
-
-def parse_kv_file(path: str | Path, keys: Mapping[str, Callable[[str], object]]) -> dict[str, object]:
-    """Parse a `key = value` config file: # starts a comment line, each key is one of keys and may appear once,
-    and keys[key] parses its value; a ValueError from that names the file and the key."""
-    fields: dict[str, object] = {}
-    first_lines: dict[str, int] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}:{line_no}: expected key = value")
-        key = key.strip()
-        if key not in keys:
-            raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-        if key in first_lines:
-            raise ValueError(f"{path}:{line_no}: key {key!r} repeated (first at line {first_lines[key]})")
-        first_lines[key] = line_no
-        try:
-            fields[key] = keys[key](value.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}: config key {key!r}: {exc}") from None
-    return fields
 
 
 # An adapter config's keys: one per field, and a `label.<gender> = alias, alias, ...` line per label

@@ -241,7 +241,7 @@ def test_criterion_6_ngram_suite(rng):
         rated[0] = (rated[0][0], rng.choice((RateType.TF, RateType.TM)))
         rated[1] = (rated[1][0], rng.choice((RateType.FF, RateType.FM)))
         n = rng.choice((2, 3))
-        inventory = ngram_inventory(rated, n)
+        inventory = ngram_inventory({rate: [name for name, r in rated if r is rate] for rate in RateType}, n)
         # brute-force set oracle
         true_set, false_set = set(), set()
         for name, rate in rated:

@@ -25,6 +25,11 @@ def P(label, p=None):
     return Prediction(label, p, "s")
 
 
+def groups(rated):
+    """(name, rate type) pairs as assign_rate_types groups them."""
+    return {rate: [name for name, r in rated if r is rate] for rate in RateType}
+
+
 # --- rate types -----------------------------------------------------------------
 
 
@@ -35,12 +40,12 @@ def test_rate_type_assignment_excludes_undecided():
     )
     preds = [P(F, 0.9), P(M, 0.2), P(M, 0.1), P(F, 0.8), P(U)]
     rated = assign_rate_types(ts, preds)
-    assert rated == [
+    assert rated == groups([
         ("ana", RateType.TF),
         ("bea", RateType.FM),
         ("carl", RateType.TM),
         ("dave", RateType.FF),
-    ]
+    ])
 
 
 def test_rate_type_length_mismatch():
@@ -53,12 +58,12 @@ def test_rate_type_length_mismatch():
 
 def test_length_histogram_two_lengths():
     rated = [("ann", RateType.TF), ("maria", RateType.TF)]
-    hists = length_histograms(rated)
+    hists = length_histograms(groups(rated))
     assert hists[RateType.TF] == {3: 50.0, 5: 50.0}
 
 
 def test_length_histogram_single_name():
-    hists = length_histograms([("bo", RateType.FM)])
+    hists = length_histograms(groups([("bo", RateType.FM)]))
     assert hists[RateType.FM] == {2: 100.0}
 
 
@@ -70,7 +75,7 @@ def test_length_histogram_twelve_name_fixture():
         ("muriel", RateType.FF), ("iris", RateType.FF),
         ("jo", RateType.FM), ("kim", RateType.FM), ("sam", RateType.FM),
     ]
-    hists = length_histograms(rated)
+    hists = length_histograms(groups(rated))
     assert hists[RateType.TF][3] == pytest.approx(200 / 3)
     assert hists[RateType.TF][4] == pytest.approx(100 / 3)
     assert hists[RateType.TM] == {2: 75.0, 6: 25.0}
@@ -83,13 +88,13 @@ def test_length_histogram_mass_sums_to_100(rng):
     for i in range(200):
         name = "x" * rng.randint(2, 12)
         rated.append((f"{name}{i}" * 0 + name, rng.choice(list(RateType))))
-    hists = length_histograms(rated)
+    hists = length_histograms(groups(rated))
     for rate, hist in hists.items():
         assert sum(hist.values()) == pytest.approx(100.0, abs=0.01)
 
 
 def test_length_histogram_omits_empty_rate_types():
-    hists = length_histograms([("ana", RateType.TF)])
+    hists = length_histograms(groups([("ana", RateType.TF)]))
     assert set(hists) == {RateType.TF}
 
 
@@ -97,7 +102,7 @@ def test_length_histogram_invariant_under_reordering(rng):
     rated = [(f"n{'x' * (i % 5)}", rng.choice(list(RateType))) for i in range(60)]
     shuffled = rated[:]
     rng.shuffle(shuffled)
-    assert length_histograms(rated) == length_histograms(shuffled)
+    assert length_histograms(groups(rated)) == length_histograms(groups(shuffled))
 
 
 # --- non-English names --------------------------------------------------------------
@@ -111,12 +116,12 @@ def test_non_english_examples():
 
 def test_non_english_distribution_half():
     rated = [("anna", RateType.TF), ("josé", RateType.TF)]
-    assert non_english_distribution(rated)[RateType.TF] == pytest.approx(50.0)
+    assert non_english_distribution(groups(rated))[RateType.TF] == pytest.approx(50.0)
 
 
 def test_non_english_all_ascii_is_zero():
     rated = [("anna", RateType.TF), ("bob", RateType.TM), ("carl", RateType.FF), ("dan", RateType.FM)]
-    dist = non_english_distribution(rated)
+    dist = non_english_distribution(groups(rated))
     assert all(v == 0.0 for v in dist.values())
 
 
@@ -132,7 +137,7 @@ def test_non_english_twenty_name_fixture():
         + [(n, RateType.FF) for n in ff]
         + [(n, RateType.FM) for n in fm]
     )
-    dist = non_english_distribution(rated)
+    dist = non_english_distribution(groups(rated))
     assert dist[RateType.TF] == pytest.approx(40.0)
     assert dist[RateType.TM] == pytest.approx(20.0)
     assert dist[RateType.FF] == pytest.approx(0.0)
@@ -173,14 +178,14 @@ def test_ngram_count_formula(rng):
 
 
 def test_inventory_simple():
-    inv = ngram_inventory([("ann", RateType.TF), ("ben", RateType.FF)], 2)
+    inv = ngram_inventory(groups([("ann", RateType.TF), ("ben", RateType.FF)]), 2)
     assert inv.unique_to_true == {"an", "nn"}
     assert inv.unique_to_false == {"be", "en"}
     assert inv.overlapping == frozenset()
 
 
 def test_inventory_identical_categories():
-    inv = ngram_inventory([("ann", RateType.TF), ("ann", RateType.FM)], 2)
+    inv = ngram_inventory(groups([("ann", RateType.TF), ("ann", RateType.FM)]), 2)
     assert inv.unique_to_true == frozenset()
     assert inv.unique_to_false == frozenset()
     assert inv.overlapping == {"an", "nn"}
@@ -188,7 +193,7 @@ def test_inventory_identical_categories():
 
 def test_inventory_empty_category_raises():
     with pytest.raises(ValueError, match="false"):
-        ngram_inventory([("ann", RateType.TF)], 2)
+        ngram_inventory(groups([("ann", RateType.TF)]), 2)
 
 
 def test_inventory_ten_name_fixture_matches_set_oracle(rng):
@@ -199,7 +204,7 @@ def test_inventory_ten_name_fixture_matches_set_oracle(rng):
     if not any(r in (RateType.FF, RateType.FM) for _, r in rated):
         rated[1] = (rated[1][0], RateType.FF)
     for n in (2, 3):
-        inv = ngram_inventory(rated, n)
+        inv = ngram_inventory(groups(rated), n)
         # independent set oracle
         true_set, false_set = set(), set()
         for name, rate in rated:
@@ -216,7 +221,7 @@ def test_inventory_partition_invariants(rng):
         for i in range(rng.randint(1, 20)):
             name = "".join(rng.choice("abcdefg") for _ in range(rng.randint(2, 8)))
             rated.append((name, rng.choice(list(RateType))))
-        inv = ngram_inventory(rated, rng.choice((2, 3)))
+        inv = ngram_inventory(groups(rated), rng.choice((2, 3)))
         assert inv.unique_to_true | inv.overlapping == inv.true_grams
         assert inv.unique_to_false | inv.overlapping == inv.false_grams
         assert not inv.unique_to_true & inv.overlapping
@@ -228,7 +233,7 @@ def test_inventory_partition_invariants(rng):
 
 
 def test_length_export_is_plot_ready(tmp_path):
-    hists = length_histograms([("ann", RateType.TF), ("maria", RateType.TF)])
+    hists = length_histograms(groups([("ann", RateType.TF), ("maria", RateType.TF)]))
     path = tmp_path / "lengths.tsv"
     write_length_export(hists, path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -239,7 +244,7 @@ def test_length_export_is_plot_ready(tmp_path):
 def test_non_english_export(tmp_path):
     rated = [("anna", RateType.TF), ("josé", RateType.TF)]
     path = tmp_path / "ne.tsv"
-    write_non_english_export(rated, path)
+    write_non_english_export(groups(rated), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "rate_type\tnames\tnon_english_percentage"
     assert lines[1] == "TF\t2\t50.0000"

@@ -110,6 +110,16 @@ def test_ingest_ssa_directory_ignores_stray_files(tmp_path):
     assert list(manifest["input_digests"]) == [str(ssa / "yob1990.txt"), str(ssa / "yob1991.txt")]
 
 
+@pytest.mark.parametrize("years", ["19x0", "1990-", "1991-1990"])
+def test_ingest_refuses_a_bad_year_range_as_a_usage_error(tmp_path, capsys, years):
+    with pytest.raises(SystemExit) as exit:
+        run("ingest", "--ssa-dir", str(tmp_path), "--years", years, "--out-dir", str(tmp_path / "out"))
+    assert exit.value.code == 2
+    reason = f"expected YEAR or FIRST-LAST with FIRST <= LAST, got {years!r}"
+    assert capsys.readouterr().err.endswith(f": error: argument --years: {reason}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_ingest_empty_corpus_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("name,gender\nX,F\n", encoding="utf-8")
@@ -514,8 +524,11 @@ def test_a_command_executes_only_the_package_modules_it_uses(corpus_csv, tmp_pat
     ingest = ["ingest", "--csv", str(corpus_csv), "--name-col", "name", "--gender-col", "gender",
               "--source-id", "tiny", "--out-dir", str(tmp_path / "out")]
     infer = ["infer", "-", "--model", str(model)]
+    config = tmp_path / "c.conf"
+    config.write_text("seed = 1\n", encoding="utf-8")
     executed = {}
-    for argv in (ingest, infer):
+    commands = {"ingest": ingest, "infer": infer, "ingest --config": [*ingest, "--config", str(config)]}
+    for label, argv in commands.items():
         script = (
             "import sys, types\n"
             "from namegender.cli import main\n"
@@ -524,12 +537,13 @@ def test_a_command_executes_only_the_package_modules_it_uses(corpus_csv, tmp_pat
             f"print(code, *registered, '|', *{_EXECUTED}, file=sys.stderr)\n"
         )
         done = fresh_interpreter(script, input="mary\n")
-        executed[argv[0]] = done.stderr.splitlines()[-1].split()  # after ingest's log line
+        executed[label] = done.stderr.splitlines()[-1].split()  # after ingest's log line
     # every module stays registered, so a caller that looks it up in sys.modules finds it
     registered = ["namegender." + m for m in ("analysis", "cli", "corpus", "ensemble", "evaluation", "inferrers", "mle")]
     assert executed == {
         "ingest": ["0", *registered, "|", "namegender.cli", "namegender.corpus"],
         "infer": ["0", *registered, "|", *("namegender." + m for m in ("cli", "corpus", "ensemble", "inferrers", "mle"))],
+        "ingest --config": ["0", *registered, "|", "namegender.cli", "namegender.corpus"],
     }
 
 
@@ -624,6 +638,17 @@ def test_eval_with_mock_matches_hand_fixture(tmp_path):
     lines = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
     # hand fixture: TF=1 TM=1 FM=1 undecided=1 -> acc 50, prec 100, rec 50, f1 66.67, gbe -33.33
     assert lines[1] == "m\tdemo\t4\t50.00\t100.00\t50.00\t66.67\t-33.33"
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_a_test_set_without_names_is_refused_naming_the_file(tmp_path, capsys, command):
+    testset = tmp_path / "empty.test.tsv"
+    write_testset_file(testset, [])
+    mock = tmp_path / "mock.json"
+    write_mock_file(mock, {})
+    assert run(command, "--test", str(testset), "--inferrer", f"mock:{mock}", "--out-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"namegender: error: {testset}: no test names\n"
+    assert not (tmp_path / "out").exists()
 
 
 def write_http_conf(tmp_path: Path, cache: bool = True) -> Path:

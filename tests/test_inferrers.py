@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from namegender.corpus import FrequencyTable, GenderCounts, NameType
+from namegender.corpus import FrequencyTable, GenderCounts, NameType, parse_kv_file
 from namegender.inferrers import (
     DEFAULT_LABEL_ALIASES,
     AdapterConfigError,
@@ -23,7 +23,6 @@ from namegender.inferrers import (
     map_external_label,
     normalize_confidence,
     parse_adapter_config,
-    parse_kv_file,
 )
 from namegender.mle import GenderLabel, Prediction, train
 

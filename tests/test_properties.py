@@ -13,7 +13,7 @@ import logging
 import sqlite3
 import tempfile
 import unicodedata
-from collections import Counter, defaultdict
+from collections import defaultdict
 from contextlib import closing
 from pathlib import Path
 
@@ -39,6 +39,7 @@ from namegender.corpus import (
     ingest_ssa_years,
     merge_tables,
     normalize_name,
+    parse_kv_file,
     read_table_with_header,
     split_full_name,
     to_first_names,
@@ -61,7 +62,6 @@ from namegender.inferrers import (
     HttpAdapter,
     MleInferrer,
     MockInferrer,
-    parse_kv_file,
 )
 from namegender.mle import GenderLabel, MleModel, Prediction, train
 
@@ -225,14 +225,19 @@ def scored_testsets(draw) -> tuple[LabeledTestSet, list[Prediction]]:
 def test_score_agrees_with_rate_types(case):
     testset, preds = case
     counts = score(testset, preds)
-    rated = assign_rate_types(testset, preds)
-    tally = Counter(rate for _, rate in rated)
+    groups = assign_rate_types(testset, preds)
+    tally = {rate: len(names) for rate, names in groups.items()}
     assert counts.true_female == tally[RateType.TF]
     assert counts.false_female == tally[RateType.FF]
     assert counts.true_male == tally[RateType.TM]
     assert counts.false_male == tally[RateType.FM]
-    assert counts.undecided_female + counts.undecided_male == testset.size - len(rated)
+    assert counts.undecided_female + counts.undecided_male == testset.size - sum(tally.values())
     assert counts.total == testset.size
+    # every rate type is a key, in enum order, and each group keeps test-set order
+    assert list(groups) == list(RateType)
+    position = {name: i for i, (name, _) in enumerate(testset.names)}
+    for names in groups.values():
+        assert [position[name] for name in names] == sorted(position[name] for name in names)
 
 
 @given(st.lists(st.builds(lambda p, source: Prediction(p.label, p.p_female, source), predictions(), IDS),
@@ -249,7 +254,7 @@ METRIC = st.one_of(st.none(), st.floats(-100.0, 100.0))
 def report_rows(draw) -> ReportRow:
     inferrer_id, dataset_id, size = draw(IDS), draw(IDS), draw(st.integers(1, 500))
     if draw(st.booleans()):
-        return ReportRow(inferrer_id, dataset_id, size, None, None, skipped=True)
+        return ReportRow(inferrer_id, dataset_id, size, None, None)
     values = MetricValues(*(draw(METRIC) for _ in range(5)))
     return ReportRow(inferrer_id, dataset_id, size, ConfusionCounts(), values)
 
@@ -273,9 +278,9 @@ def test_renderings_carry_the_same_cells(rows, notes):
     assert text[1:] == tsv[1:] == records
     assert text_lines[len(text_lines) - len(notes):] == [f"note: {n}" for n in notes]
     # one ALL row per inferrer, each after that inferrer's own rows
-    assert [r[0] for r in records if r[1] == "ALL"] == report.inferrer_ids()
+    assert [r[0] for r in records if r[1] == "ALL"] == list(dict.fromkeys(row.inferrer_id for row in rows))
     skipped = [r["dataset"] for r in report.to_records() if r["skipped"]]
-    assert sorted(skipped) == sorted(row.dataset_id for row in rows if row.skipped)
+    assert sorted(skipped) == sorted(row.dataset_id for row in rows if row.values is None)
 
 
 # Model names with quotes, backslashes, non-ASCII and astral characters; the
