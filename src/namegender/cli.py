@@ -82,9 +82,16 @@ _Manifest = tuple[Path, str, Sequence[str | Path], Sequence[str | Path]]
 
 
 def _sha256(path: str | Path) -> str:
-    import hashlib  # loads OpenSSL (about 3.6 MB of RSS), which only a manifest needs
+    # CPython's own SHA-256: hashlib would load OpenSSL (about 3 MB of RSS) on top of the freed heap
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # 3.10-3.11
+        except ImportError:  # a build without it (Fedora's, for one) hashes only through OpenSSL
+            from hashlib import sha256
 
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
@@ -303,19 +310,21 @@ def _name_blocks(source: TextIO) -> Iterator[list[str]]:
 def _line_formatter(structured: bool) -> Callable[[Sequence[str], Sequence[mle.Prediction]], str]:
     """A function giving infer's output lines for one block, without the TSV header.
 
-    The text around each name is formatted once per Prediction object: repeated
-    names and unknowns share one object (see inferrers.py). The cache holds each
-    Prediction it keys by id(), so the keys stay distinct.
+    The text after each name is formatted once per Prediction object: repeated
+    names and unknowns share one object (see inferrers.py). The text before it
+    is one string per label. The cache holds each Prediction it keys by id(),
+    so the keys stay distinct.
     A structured line equals json.dumps(record, sort_keys=True): json writes a
     float (finite, as Prediction checks) as float.__repr__, and a mock's 1,
     true or null as json.dumps does.
     """
     if structured:
+        heads = {label: f'{{"label": "{label.value}", "name": ' for label in mle.GenderLabel}
+
         def parts(p: mle.Prediction) -> tuple[mle.Prediction, str, str]:
             pf = p.p_female
             p_json = float.__repr__(pf) if isinstance(pf, float) else json.dumps(pf)
-            return (p, f'{{"label": "{p.label.value}", "name": ',
-                    f', "p_female": {p_json}, "source": {json.dumps(p.source)}}}\n')
+            return p, heads[p.label], f', "p_female": {p_json}, "source": {json.dumps(p.source)}}}\n'
         encode = encode_basestring_ascii
     else:
         def parts(p: mle.Prediction) -> tuple[mle.Prediction, str, str]:

@@ -549,8 +549,10 @@ def write_table(
         if _breaks_line(key + value):
             raise ValueError(f"header field {key}={value!r} contains tab or newline")
     names = sorted(table.entries)
-    if _breaks_line("".join(names)):
-        raise ValueError(f"name {next(filter(_breaks_line, names))!r} contains tab or newline")
+    for start in range(0, len(names), 4096):  # in slices: a string of every name would set the step's peak
+        block = names[start : start + 4096]
+        if _breaks_line("".join(block)):
+            raise ValueError(f"name {next(filter(_breaks_line, block))!r} contains tab or newline")
     # id(GenderCounts) -> "\t<female>\t<male>\n": one tail per count object, which the table keeps alive
     tails: dict[int, str] = {}
     with open(path, "w", encoding="utf-8") as fh:

@@ -4,9 +4,11 @@ import ast
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
 import select
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 import requests
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from namegender import cli
@@ -455,8 +457,46 @@ def test_one_name_infer_imports_neither_manifest_modules_nor_dataclasses(tmp_pat
     assert {**manifest["input_digests"], **manifest["config_digests"]} == digests
 
 
+@settings(deadline=None, max_examples=30)
+@example(size=0, seed=0)
+@example(size=1 << 16, seed=0)
+@example(size=3 << 16, seed=0)
+@given(size=st.integers(0, 5 << 16), seed=st.integers(0, 2**32))
+def test_manifest_digest_is_the_files_sha256(size, seed):
+    data = random.Random(seed).randbytes(size)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "data.bin")
+        path.write_bytes(data)
+        assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.skipif(not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))),
+                    reason="this Python has no built-in SHA-256, so digests load OpenSSL")
+def test_no_manifest_writing_step_loads_openssl(corpus_csv, tmp_path):
+    out = tmp_path / "out"
+    table, model = out / "tiny.table.tsv", out / "tiny.model.tsv"
+    names, testset = tmp_path / "names.txt", tmp_path / "demo.test.tsv"
+    names.write_text("mary\npat\n", encoding="utf-8")
+    write_testset_file(testset, [("mary", "female"), ("john", "male")])
+    steps = {
+        "ingest": (["ingest", "--csv", str(corpus_csv), "--name-col", "name", "--gender-col", "gender",
+                    "--count-col", "count", "--source-id", "tiny", "--out-dir", str(out)], [corpus_csv]),
+        "train": (["train", str(table), "--out-dir", str(out)], [table]),
+        "infer": (["infer", str(names), "--model", str(model), "--out", str(out / "pred.tsv")], [names, model]),
+        "eval": (["eval", "--test", str(testset), "--inferrer", f"mle:{model}", "--out-dir", str(out)],
+                 [testset, model]),
+    }
+    for step, (argv, files) in steps.items():
+        script = f"import sys\nfrom namegender.cli import main\nprint(main({argv!r}), '_hashlib' in sys.modules)\n"
+        assert fresh_interpreter(script).stdout.split() == ["0", "False"], step
+        manifest = json.loads((out / f"{step}.manifest.json").read_text(encoding="utf-8"))
+        digests = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+        assert {**manifest["input_digests"], **manifest["config_digests"]} == digests, step
+
+
 def test_manifest_is_written_once_the_command_has_freed_its_tables(corpus_csv, tmp_path, monkeypatch):
-    # hashlib loads OpenSSL to write a manifest; with a table still alive that would set the step's peak RSS
+    # a manifest's digests and timestamp load modules of their own; with a table still alive they
+    # would add to the step's peak RSS
     write, live = cli._write_manifest, []
 
     def spy(*args, **kwargs):

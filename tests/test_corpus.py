@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -554,6 +555,33 @@ def test_write_table_streams_lines_of_a_shared_count_table(tmp_path, rng):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+    assert read_table(tmp_path / "t.tsv") == table
+
+
+def test_table_name_with_a_tab_past_the_first_slice_is_refused_before_the_file_opens(tmp_path):
+    names = [f"ana{i:05d}" for i in range(6000)]
+    names[5500] = "ana05500\tbo"
+    path = tmp_path / "t.tsv"
+    with pytest.raises(ValueError, match=re.escape(repr(names[5500]))):
+        write_table(table_of(dict.fromkeys(names, (1, 0))), path)
+    assert not path.exists()
+
+
+def test_write_table_checks_names_without_joining_them_all(tmp_path, rng):
+    # 50k names of 19 characters over one count object: beyond the table, the writer needs the
+    # sorted names and the sort's merge space (about 12 bytes a name), not a string of them all
+    firsts = ["".join(letters) for letters in product("bdklmnrst", "aeiou", "lnrs", "ae")]
+    lasts = ["".join(letters) for letters in product("bcdfghkmp", "aeiou", "rst", "ai")]
+    names = rng.sample([f"{first}ella {last}sworth" for first, last in product(firsts, lasts)], 50_000)
+    joined = sys.getsizeof("".join(names))
+    table = FrequencyTable(dict.fromkeys(names, GenderCounts(1, 0)), NameType.FULL, "t")
+    tracemalloc.start()
+    try:
+        write_table(table, tmp_path / "t.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < joined
     assert read_table(tmp_path / "t.tsv") == table
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 import requests
 
+from namegender import inferrers
 from namegender.corpus import FrequencyTable, GenderCounts, NameType, parse_kv_file
 from namegender.inferrers import (
     DEFAULT_LABEL_ALIASES,
@@ -507,9 +508,21 @@ def test_rate_limiter_bounds_sliding_window():
         assert in_window <= rate
 
 
+class FakeClock:
+    """A clock that moves only when slept on, so no load on the host moves a grant."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
 class RecordingLimiter(RateLimiter):
-    """Stamps each grant with the clock as acquire returns, so no delay after it
-    (as in a session that stamps its calls) moves it."""
+    """Stamps each grant with the limiter's own clock as acquire returns."""
 
     def __init__(self, rate_per_second: float) -> None:
         super().__init__(rate_per_second)
@@ -517,11 +530,12 @@ class RecordingLimiter(RateLimiter):
 
     def acquire(self) -> None:
         super().acquire()
-        self.grants.append(time.monotonic())
+        self.grants.append(inferrers.time.monotonic())
 
 
 def test_adapter_dispatch_respects_rate_limit(monkeypatch):
-    monkeypatch.setattr("namegender.inferrers.RateLimiter", RecordingLimiter)
+    monkeypatch.setattr(inferrers, "time", FakeClock())
+    monkeypatch.setattr(inferrers, "RateLimiter", RecordingLimiter)
     body = json.dumps({"gender": "female", "accuracy": 70})
     session = FakeSession(lambda url: FakeResponse(200, body))
     adapter = HttpAdapter(adapter_config(rate_limit=200.0), session=session)
@@ -531,9 +545,10 @@ def test_adapter_dispatch_respects_rate_limit(monkeypatch):
     for i, start in enumerate(times):
         in_window = sum(1 for t in times[i:] if t - start < 1.0)
         assert in_window <= 200
-    # dispatches are spaced at least the limiter interval apart
+    # back-to-back dispatches each wait out one interval; the limiter's running sum of
+    # 1/200 rounds some gaps below it by about 1e-17 s, so equality holds only to rounding
     gaps = [b - a for a, b in zip(times, times[1:])]
-    assert min(gaps) >= (1.0 / 200.0) * 0.5
+    assert gaps == pytest.approx([1.0 / 200.0] * 59, rel=1e-12, abs=0)
 
 
 def test_adapter_does_not_cache_unmappable_response(tmp_path):
