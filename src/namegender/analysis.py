@@ -8,15 +8,13 @@ category (FF + FM) and reports distinct-gram set sizes.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
+from .corpus import log
 from .evaluation import LabeledTestSet, RateType, rate_type
 from .mle import Prediction
-
-logger = logging.getLogger(__name__)
 
 _ASCII_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
 
@@ -43,7 +41,7 @@ def length_histograms(groups: Mapping[RateType, Sequence[str]]) -> dict[RateType
     histograms: dict[RateType, dict[int, float]] = {}
     for rate, names in groups.items():
         if not names:
-            logger.info("length_histograms: no %s names, omitted", rate.value)
+            log("INFO", f"length_histograms: no {rate.value} names, omitted")
             continue
         counts = sorted(Counter(map(len, names)).items())
         histograms[rate] = {length: 100.0 * count / len(names) for length, count in counts}
@@ -60,7 +58,7 @@ def non_english_distribution(groups: Mapping[RateType, Sequence[str]]) -> dict[R
     out = {}
     for rate, names in groups.items():
         if not names:
-            logger.info("non_english_distribution: no %s names, omitted", rate.value)
+            log("INFO", f"non_english_distribution: no {rate.value} names, omitted")
             continue
         out[rate] = 100.0 * sum(map(is_non_english, names)) / len(names)
     return out

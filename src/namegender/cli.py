@@ -13,16 +13,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
-import json
-import logging
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import ModuleType
 from typing import Callable, Iterator, Sequence, TextIO
 
 from . import __version__, corpus
-from .corpus import NameType
+from .corpus import NameType, log
 
 
 def _lazy(name: str) -> ModuleType:
@@ -42,8 +39,6 @@ def _lazy(name: str) -> ModuleType:
 
 
 analysis, ensemble, evaluation, inferrers, mle = map(_lazy, ("analysis", "ensemble", "evaluation", "inferrers", "mle"))
-
-logger = logging.getLogger("namegender")
 
 _FORMATS = ("tsv", "structured")
 
@@ -99,6 +94,7 @@ def _sha256(path: str | Path) -> str:
 
 
 def _write_manifest(args: argparse.Namespace, manifest: _Manifest) -> None:
+    import json
     from datetime import datetime, timezone  # about 0.6 MB of RSS, which only the timestamp needs
 
     out_dir, name, inputs, configs = manifest
@@ -169,8 +165,8 @@ def cmd_ingest(args: argparse.Namespace) -> _Manifest:
     out_dir = _out_dir(args.out_dir)
     corpus.write_table(table, out_dir / f"{table.source_id}.table.tsv")
     _write_ingest_report(report, out_dir / f"{table.source_id}.ingest-report.tsv")
-    logger.info("ingested %s: %d unique names, %d records retained, %d dropped",
-                table.source_id, len(table), report.retained, report.total_rows - report.retained)
+    log("INFO", f"ingested {table.source_id}: {len(table)} unique names, {report.retained} records retained, "
+                f"{report.total_rows - report.retained} dropped")
     return out_dir, "ingest", inputs, ()
 
 
@@ -188,7 +184,7 @@ def cmd_combine(args: argparse.Namespace) -> _Manifest:
         merged = corpus.FrequencyTable(merged.entries, merged.name_type, args.id)
     out_dir = _out_dir(args.out_dir)
     corpus.write_table(merged, out_dir / f"{merged.source_id}.table.tsv")
-    logger.info("combined %d tables into %s (%d unique names)", len(tables), merged.source_id, len(merged))
+    log("INFO", f"combined {len(tables)} tables into {merged.source_id} ({len(merged)} unique names)")
     return out_dir, "combine", args.tables, ()
 
 
@@ -214,6 +210,7 @@ def cmd_stats(args: argparse.Namespace) -> _Manifest:
         ]
 
     if args.format == "structured":
+        import json
         (out_dir / "stats.json").write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     else:
         datasets = document["datasets"]
@@ -234,7 +231,7 @@ def cmd_stats(args: argparse.Namespace) -> _Manifest:
             try:
                 hist = corpus.ambiguity_histogram(table, args.bins)
             except ValueError as exc:
-                logger.warning("skipping ambiguity histogram: %s", exc)
+                log("WARNING", f"skipping ambiguity histogram: {exc}")
                 continue
             lines = [
                 f"# ambiguity\tsource={table.source_id}\tcount={hist.count}"
@@ -259,13 +256,8 @@ def cmd_split(args: argparse.Namespace) -> _Manifest:
     evaluation.write_testset(result.test, out_dir / f"{result.test.id}.test.tsv")
     ties_path = out_dir / f"{result.test.id}.ties.txt"
     ties_path.write_text("".join(f"{name}\n" for name in result.ties), encoding="utf-8")
-    logger.info(
-        "split %s: %d train, %d test, %d tied names excluded",
-        table.source_id,
-        len(result.train),
-        result.test.size,
-        len(result.ties),
-    )
+    log("INFO", f"split {table.source_id}: {len(result.train)} train, {result.test.size} test, "
+                f"{len(result.ties)} tied names excluded")
     return out_dir, "split", [args.table], ()
 
 
@@ -274,7 +266,7 @@ def cmd_train(args: argparse.Namespace) -> _Manifest:
     model = mle.train(table, mle.DEFAULT_TAU if args.tau is None else args.tau, args.model_id)
     out_dir = _out_dir(args.out_dir)
     mle.save_model(model, out_dir / f"{table.source_id}.model.tsv")
-    logger.info("trained %s on %d names (tau=%g)", model.model_id, len(table), model.tau)
+    log("INFO", f"trained {model.model_id} on {len(table)} names (tau={model.tau:g})")
     return out_dir, "train", [args.table], ()
 
 
@@ -310,22 +302,24 @@ def _name_blocks(source: TextIO) -> Iterator[list[str]]:
 def _line_formatter(structured: bool) -> Callable[[Sequence[str], Sequence[mle.Prediction]], str]:
     """A function giving infer's output lines for one block, without the TSV header.
 
-    The text after each name is formatted once per Prediction object: repeated
-    names and unknowns share one object (see inferrers.py). The text before it
-    is one string per label. The cache holds each Prediction it keys by id(),
-    so the keys stay distinct.
+    The text after each name is formatted once per Prediction object: an MLE
+    inferrer gives equal answers one object, and unknowns share one (see
+    inferrers.py). The text before it is one string per label. The cache holds
+    each Prediction it keys by id(), so the keys stay distinct. It is not keyed
+    by value: a mock's p_female of 1, 1.0 and true are equal but print differently.
     A structured line equals json.dumps(record, sort_keys=True): json writes a
     float (finite, as Prediction checks) as float.__repr__, and a mock's 1,
     true or null as json.dumps does.
     """
     if structured:
+        import json
         heads = {label: f'{{"label": "{label.value}", "name": ' for label in mle.GenderLabel}
 
         def parts(p: mle.Prediction) -> tuple[mle.Prediction, str, str]:
             pf = p.p_female
             p_json = float.__repr__(pf) if isinstance(pf, float) else json.dumps(pf)
             return p, heads[p.label], f', "p_female": {p_json}, "source": {json.dumps(p.source)}}}\n'
-        encode = encode_basestring_ascii
+        encode = json.encoder.encode_basestring_ascii
     else:
         def parts(p: mle.Prediction) -> tuple[mle.Prediction, str, str]:
             p_cell = "NA" if p.p_female is None else f"{p.p_female:.6f}"
@@ -407,6 +401,7 @@ def cmd_eval(args: argparse.Namespace) -> _Manifest:
     report.notes.extend(_tie_notes(run))
     out_dir = _out_dir(args.out_dir)
     if args.format == "structured":
+        import json
         document = {"records": report.to_records(), "notes": report.notes}
         (out_dir / "report.json").write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     else:
@@ -429,7 +424,7 @@ def cmd_analyze(args: argparse.Namespace) -> _Manifest:
         try:
             inventory = analysis.ngram_inventory(groups, n)
         except ValueError as exc:
-            logger.warning("skipping %s: %s", filename, exc)
+            log("WARNING", f"skipping {filename}: {exc}")
             continue
         analysis.write_ngram_export(inventory, out_dir / filename)
     return out_dir, "analyze", [args.test], config_paths
@@ -542,7 +537,6 @@ def _apply_config(args: argparse.Namespace) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = ["namegender", *argv]

@@ -22,15 +22,11 @@ fixed, so a model's queries are cleaned exactly as its table was.
 
 from __future__ import annotations
 
-import csv
-import logging
-import unicodedata
+import sys
 from collections import Counter
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-logger = logging.getLogger(__name__)
 
 VOWELS = frozenset("aeiou")
 
@@ -144,6 +140,11 @@ class AmbiguityHistogram(NamedTuple):
     count: int
 
 
+def log(level: str, message: str) -> None:
+    """Write one `LEVEL message` diagnostic line to stderr."""
+    print(level, message, file=sys.stderr)
+
+
 def _spelling(raw: str) -> str:
     """Cleaning rule 1: whitespace collapsed, then lower-cased. Every check
     normalize_name makes depends only on this spelling."""
@@ -175,8 +176,10 @@ def _check_spelling(name: str) -> str | Rejection:
     if name.rstrip(".") in DEFAULT_TITLES:
         return Rejection.IS_TITLE
     # NFKD keeps every ASCII vowel, so only a name without one needs folding.
-    if VOWELS.isdisjoint(name) and VOWELS.isdisjoint(unicodedata.normalize("NFKD", name)):
-        return Rejection.NO_VOWEL
+    if VOWELS.isdisjoint(name):
+        import unicodedata
+        if VOWELS.isdisjoint(unicodedata.normalize("NFKD", name)):
+            return Rejection.NO_VOWEL
     return name
 
 
@@ -262,6 +265,7 @@ def ingest_labeled_csv(
     Malformed rows are skipped and recorded with their line number; the run
     continues. Raises EmptyCorpusError if nothing survives cleaning.
     """
+    import csv
     path = Path(path)
     source = source_id if source_id is not None else path.stem
     report = IngestReport(source=source)
@@ -339,7 +343,7 @@ def ingest_ssa_years(
         path = directory / f"yob{year}.txt"
         if not path.exists():
             report.missing_years.append(year)
-            logger.warning("missing SSA year file: %s", path)
+            log("WARNING", f"missing SSA year file: {path}")
             continue
         where = f"{path.name}: "
         with path.open(encoding="utf-8") as fh:
@@ -409,7 +413,7 @@ def to_first_names(table: FrequencyTable) -> FrequencyTable:
     dropped: Counter[Rejection] = Counter()
     entries = _check_spellings(firsts, dropped)
     if dropped:
-        logger.info("to_first_names: dropped %d first tokens failing cleaning", dropped.total())
+        log("INFO", f"to_first_names: dropped {dropped.total()} first tokens failing cleaning")
     return FrequencyTable(entries, NameType.FIRST, table.source_id)
 
 
@@ -578,6 +582,8 @@ def read_table_with_header(path: str | Path) -> tuple[FrequencyTable, dict[str, 
             key, sep, value = item.partition("=")
             if not sep:
                 raise TableParseError(path, 1, f"bad header field {item!r}")
+            if key in fields:
+                raise TableParseError(path, 1, f"duplicate header field {key!r}")
             fields[key] = value
         try:
             name_type = NameType(fields.pop("name_type"))
@@ -624,7 +630,8 @@ def parse_kv_file(path: str | Path, keys: Mapping[str, Callable[[str], object]])
     and keys[key] parses its value; a ValueError from that names the file and the key."""
     fields: dict[str, object] = {}
     first_lines: dict[str, int] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    # lines end at "\n" alone (reading translates "\r\n" and "\r"): splitlines would also end one at \x85 or \u2028
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -10,8 +10,6 @@ fail fast.
 
 from __future__ import annotations
 
-import json
-import logging
 import os
 import time
 from abc import ABC, abstractmethod
@@ -21,10 +19,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 from urllib.parse import quote
 
-from .corpus import GenderCounts, parse_kv_file
+from .corpus import GenderCounts, log, parse_kv_file
 from .mle import GenderLabel, MleModel, Prediction
-
-logger = logging.getLogger(__name__)
 
 # Six-way label vocabulary collapsed onto the four labels we score.
 DEFAULT_LABEL_ALIASES: Mapping[str, GenderLabel] = {
@@ -87,6 +83,7 @@ class MockInferrer(Inferrer):
     @classmethod
     def from_json(cls, path: str | Path, id: str | None = None) -> "MockInferrer":
         """Load a mapping file: {"anna": {"label": "female", "p_female": 0.99}}."""
+        import json
         path = Path(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
@@ -112,11 +109,11 @@ class MleInferrer(Inferrer):
     """Adapter exposing a trained MleModel through the batch interface.
 
     A known name's answer depends only on its counts and tau, so the inferrer
-    keeps, for its whole life, one Prediction per distinct GenderCounts value
-    it has answered and one unknown for every absent name, and answers each
-    line from them. The model is immutable, so this memo holds at most one
-    entry per distinct count pair of the model, however many names are
-    queried.
+    keeps, for its whole life, one Prediction per distinct (label, p_female)
+    answer and one unknown for every absent name, and a memo from each
+    GenderCounts value it has answered to its shared answer. The model is
+    immutable, so these hold at most one entry per distinct count pair of the
+    model, however many names are queried.
     """
 
     def __init__(self, model: MleModel, id: str | None = None) -> None:
@@ -124,17 +121,18 @@ class MleInferrer(Inferrer):
         self.model = model
         self._unknown = Prediction(GenderLabel.UNKNOWN, None, self.id)
         self._by_counts: dict[GenderCounts, Prediction] = {}
+        self._by_answer: dict[tuple[GenderLabel, float], Prediction] = {}
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
-        entries, by_counts, unknown = self.model.table.entries, self._by_counts, self._unknown
+        entries, by_counts, by_answer, unknown = self.model.table.entries, self._by_counts, self._by_answer, self._unknown
         out = []
         for name in names:
             counts = entries.get(name)
             pred = unknown if counts is None else by_counts.get(counts)
             if pred is None:
-                pred = self.model.classify(name)
-                if pred.source != self.id:
-                    pred = Prediction(pred.label, pred.p_female, self.id)
+                answer = self.model.answer(counts)
+                # get first, so an answer already seen builds no Prediction
+                pred = by_answer.get(answer) or by_answer.setdefault(answer, Prediction(*answer, self.id))
                 by_counts[counts] = pred
             out.append(pred)
         return out
@@ -347,18 +345,19 @@ class HttpAdapter(Inferrer):
                 last_error = RuntimeError(f"HTTP {response.status_code}")
                 continue
             if response.status_code != 200:
-                logger.warning("%s: %r -> HTTP %d", self.id, name, response.status_code)
+                log("WARNING", f"{self.id}: {name!r} -> HTTP {response.status_code}")
                 return None
             return response.text
         if isinstance(last_error, requests.ConnectionError) and not self._reached:
             raise AdapterUnreachableError(f"{self.id}: endpoint unreachable: {last_error}")
-        logger.warning("%s: %r failed after %d attempts: %s", self.id, name, self.config.max_attempts, last_error)
+        log("WARNING", f"{self.id}: {name!r} failed after {self.config.max_attempts} attempts: {last_error}")
         return None
 
     def _parse(self, name: str, text: str | None) -> Prediction | None:
         """The response's Prediction, or None when there is none or it does not parse or map."""
         if text is None:
             return None
+        import json
         try:
             data = json.loads(text)
             confidence = None
@@ -373,7 +372,7 @@ class HttpAdapter(Inferrer):
                 source=self.id,
             )
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            logger.warning("%s: unusable response for %r: %s", self.id, name, exc)
+            log("WARNING", f"{self.id}: unusable response for {name!r}: {exc}")
             return None
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:

@@ -75,14 +75,16 @@ class MleModel(NamedTuple):
         counts = self.table.entries.get(name)
         if counts is None:
             return Prediction(GenderLabel.UNKNOWN, None, self.model_id)
+        return Prediction(*self.answer(counts), self.model_id)
+
+    def answer(self, counts: GenderCounts) -> tuple[GenderLabel, float]:
+        """The label and p(female) that classify gives a name with these counts."""
         p = mle_female(counts)
         if p > self.tau:
-            label = GenderLabel.FEMALE
-        elif p < 1.0 - self.tau:
-            label = GenderLabel.MALE
-        else:
-            label = GenderLabel.AMBIGUOUS
-        return Prediction(label, p, self.model_id)
+            return GenderLabel.FEMALE, p
+        if p < 1.0 - self.tau:
+            return GenderLabel.MALE, p
+        return GenderLabel.AMBIGUOUS, p
 
 
 def _default_model_id(source_id: str) -> str:

@@ -438,8 +438,10 @@ def test_infer_from_stdin_answers_each_block_before_stdin_closes(tmp_path):
 def test_one_name_infer_imports_neither_manifest_modules_nor_dataclasses(tmp_path):
     model = tmp_path / "t.model.tsv"
     save_model(train(FrequencyTable({"mary": GenderCounts(95, 5)}, NameType.FIRST, "t"), 0.9), model)
-    # hashlib and datetime only write a manifest; dataclasses (with inspect and ast) would generate code per record
-    unused = ("hashlib", "_hashlib", "datetime", "dataclasses", "inspect", "ast")
+    # hashlib and datetime only write a manifest; dataclasses (with inspect and ast) would generate code per record;
+    # diagnostics need no logging, and json, csv, unicodedata and sqlite3 serve other formats, inputs and names
+    unused = ("hashlib", "_hashlib", "datetime", "dataclasses", "inspect", "ast",
+              "logging", "json", "csv", "unicodedata", "sqlite3")
     script = (
         "import sys\n"
         "from namegender.cli import main\n"
@@ -574,16 +576,18 @@ def test_a_command_executes_only_the_package_modules_it_uses(corpus_csv, tmp_pat
             "from namegender.cli import main\n"
             f"code = main({argv!r})\n"
             "registered = sorted(m for m in sys.modules if m.startswith('namegender.'))\n"
-            f"print(code, *registered, '|', *{_EXECUTED}, file=sys.stderr)\n"
+            f"print(code, 'logging' in sys.modules, *registered, '|', *{_EXECUTED}, file=sys.stderr)\n"
         )
         done = fresh_interpreter(script, input="mary\n")
         executed[label] = done.stderr.splitlines()[-1].split()  # after ingest's log line
     # every module stays registered, so a caller that looks it up in sys.modules finds it
     registered = ["namegender." + m for m in ("analysis", "cli", "corpus", "ensemble", "evaluation", "inferrers", "mle")]
+    # and no command imports logging: its diagnostics are plain stderr lines
     assert executed == {
-        "ingest": ["0", *registered, "|", "namegender.cli", "namegender.corpus"],
-        "infer": ["0", *registered, "|", *("namegender." + m for m in ("cli", "corpus", "ensemble", "inferrers", "mle"))],
-        "ingest --config": ["0", *registered, "|", "namegender.cli", "namegender.corpus"],
+        "ingest": ["0", "False", *registered, "|", "namegender.cli", "namegender.corpus"],
+        "infer": ["0", "False", *registered, "|",
+                  *("namegender." + m for m in ("cli", "corpus", "ensemble", "inferrers", "mle"))],
+        "ingest --config": ["0", "False", *registered, "|", "namegender.cli", "namegender.corpus"],
     }
 
 
@@ -1074,6 +1078,52 @@ def test_analyze_exports(tmp_path):
     assert "FF\t1\t100.0000" in non_english
     assert (out / "bigrams.tsv").exists()
     assert (out / "trigrams.tsv").exists()
+
+
+def test_each_command_writes_its_diagnostics_to_stderr_as_level_message_lines(tmp_path):
+    # in a fresh interpreter, as a user's command runs, so no log handler of pytest's can take the lines
+    ssa, out = tmp_path / "ssa", tmp_path / "out"
+    ssa.mkdir()
+    (ssa / "yob2000.txt").write_text("Mary,F,9\nMary,M,1\nJohn,M,8\nPat,F,3\nPat,M,3\nAnna,F,7\nErik,M,6\n"
+                                     "Lisa,F,5\nOmar,M,4\nRuth,F,2\n", encoding="utf-8")
+    plain, full, testset = tmp_path / "plain.tsv", tmp_path / "full.tsv", tmp_path / "demo.test.tsv"
+    plain.write_text("# name_type=first\tsource_id=plain\nanna\t7\t0\njohn\t0\t8\n", encoding="utf-8")
+    full.write_text("# name_type=full\tsource_id=people\na smith\t2\t0\nmary jones\t3\t1\n", encoding="utf-8")
+    write_testset_file(testset, [("mary", "female"), ("john", "male")])
+    table, model = out / "ssa1999-2000.table.tsv", out / "ssa1999-2000.model.tsv"
+    commands = {
+        "ingest": ["ingest", "--ssa-dir", str(ssa), "--years", "1999-2000", "--out-dir", str(out)],
+        "stats": ["stats", str(plain), "--bins", "4", "--out-dir", str(out)],
+        "combine": ["combine", str(full), "--split-full", "--out-dir", str(out)],
+        "split": ["split", str(table), "--seed", "1", "--test-fraction", "0.5", "--out-dir", str(out / "split")],
+        "train": ["train", str(table), "--tau", "0.75", "--out-dir", str(out)],
+        "analyze": ["analyze", "--test", str(testset), "--inferrer", f"mle:{model}", "--out-dir", str(out)],
+    }
+    script = "import sys\nfrom namegender.cli import main\n" + "".join(
+        f"print({label!r}, main({argv!r}), file=sys.stderr)\n" for label, argv in commands.items())
+    done = fresh_interpreter(script)
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"WARNING missing SSA year file: {ssa / 'yob1999.txt'}\n"
+        "INFO ingested ssa1999-2000: 8 unique names, 10 records retained, 0 dropped\n"
+        "ingest 0\n"
+        "WARNING skipping ambiguity histogram: plain: no ambiguous names\n"
+        "stats 0\n"
+        "INFO to_first_names: dropped 1 first tokens failing cleaning\n"
+        "INFO combined 1 tables into people (1 unique names)\n"
+        "combine 0\n"
+        "INFO split ssa1999-2000: 4 train, 3 test, 1 tied names excluded\n"
+        "split 0\n"
+        "INFO trained mle:ssa1999-2000 on 8 names (tau=0.75)\n"
+        "train 0\n"
+        "INFO length_histograms: no FF names, omitted\n"
+        "INFO length_histograms: no FM names, omitted\n"
+        "INFO non_english_distribution: no FF names, omitted\n"
+        "INFO non_english_distribution: no FM names, omitted\n"
+        "WARNING skipping bigrams.tsv: ngram_inventory: false category is empty\n"
+        "WARNING skipping trigrams.tsv: ngram_inventory: false category is empty\n"
+        "analyze 0\n"
+    )
 
 
 # --- reproducibility and config --------------------------------------------------------

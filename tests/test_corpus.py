@@ -643,6 +643,8 @@ HEADER = "# name_type=first\tsource_id=x\n"
         (HEADER + "anna\t0\t0\n", 2, "bad counts (0, 0)"),
         (HEADER + "anna\t2\t1\nbob\t3\t3\nanna\t2\t1\n", 4, "duplicate name 'anna'"),
         (HEADER + "anna\t2\t1\nbob\t2\t1\nanna\t2\t1\n", 4, "duplicate name 'anna'"),
+        ("# name_type=first\tsource_id=x\ttau=0.9\ttau=0.6\nanna\t2\t1\n", 1, "duplicate header field 'tau'"),
+        ("# source_id=x\tname_type=first\tsource_id=y\n", 1, "duplicate header field 'source_id'"),
     ],
 )
 def test_table_parse_error_message_and_line(tmp_path, text, line_no, message):

@@ -275,8 +275,9 @@ def test_records_are_read_only(record, field):
 
 def test_parse_kv_file(tmp_path):
     path = tmp_path / "c.conf"
-    path.write_text("# comment\nkey = value\nother=1\n\n", encoding="utf-8")
-    assert parse_kv_file(path, {"key": str, "other": int, "unused": float}) == {"key": "value", "other": 1}
+    # a line ends at a newline alone, not at \x85, \u2028 or \x0c as str.splitlines would end one
+    path.write_text("# comment\nkey = va\x85l\u2028u\x0ce\r\nother=1\n\n", encoding="utf-8")
+    assert parse_kv_file(path, {"key": str, "other": int, "unused": float}) == {"key": "va\x85l\u2028u\x0ce", "other": 1}
 
 
 @pytest.mark.parametrize("first, again", [

@@ -7,19 +7,20 @@ replaced; the HTTP adapter degrades per name under injected faults; a
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
-import logging
 import sqlite3
+import sys
 import tempfile
 import unicodedata
 from collections import defaultdict
-from contextlib import closing
+from contextlib import closing, redirect_stderr
 from pathlib import Path
 
 import pytest
 import requests
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from namegender.analysis import assign_rate_types
@@ -467,14 +468,14 @@ def test_mle_batch_classifies_once_per_count_pair(case):
     entries, tau, queries = case
     model = train(FrequencyTable(entries, NameType.FIRST, "t"), tau)
     expected = [model.classify(name) for name in queries]
-    classify, calls = MleModel.classify, []
+    answer, calls = MleModel.answer, []
 
-    def counting(self, name):
-        calls.append(name)
-        return classify(self, name)
+    def counting(self, counts):
+        calls.append(counts)
+        return answer(self, counts)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MleModel, "classify", counting)
+        patch.setattr(MleModel, "answer", counting)
         for id in (None, "other", None):
             calls.clear()
             source = model.model_id if id is None else id
@@ -517,6 +518,33 @@ def test_two_stage_batch_matches_the_per_name_rule(pairs, fallback_entries, band
             expected.append(Prediction(pred.label, pred.p_female, f"stage1:{pred.source}"))
     inferrer = TwoStageInferrer(model, fallback, band)
     assert inferrer.infer_batch(queries) == inferrer.infer_batch(queries) == expected
+
+
+# Small counts, so that many pairs share one p(female): 1/2 = 2/4 = 3/6, 0/n, n/0 and so on.
+SMALL_PAIRS = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda fm: sum(fm) > 0)
+
+
+def _one_object_per_answer(predictions: list[Prediction]) -> bool:
+    return len(set(map(id, predictions))) == len(set(predictions))
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.text("abé", min_size=1, max_size=3), SMALL_PAIRS, min_size=1, max_size=12),
+       st.sampled_from([0.5, 0.6, 0.75, 0.9, 1.0]), st.data())
+def test_equal_mle_answers_are_one_object(pairs, tau, data):
+    model = train(FrequencyTable({n: GenderCounts(*fm) for n, fm in pairs.items()}, NameType.FIRST, "t"), tau)
+    queries = data.draw(st.lists(st.one_of(st.sampled_from(sorted(pairs)), st.text("abéz", max_size=3)),
+                                 min_size=1, max_size=40))
+    for inferrer in (MleInferrer(model), MleInferrer(model, id="other")):
+        # a later batch answers from the same objects as the first
+        answers = inferrer.infer_batch(queries) + inferrer.infer_batch(queries[::-1])
+        expected = [model.classify(name) for name in queries + queries[::-1]]
+        assert answers == [p._replace(source=inferrer.id) for p in expected]
+        assert _one_object_per_answer(answers)
+    two_stage = TwoStageInferrer(model, MockInferrer("fb", {}), data.draw(BANDS))
+    stage1 = [(name, p) for name, p in zip(queries, two_stage.infer_batch(queries)) if p.source.startswith("stage1:")]
+    assert [p for _, p in stage1] == [model.classify(name)._replace(source="stage1:mle:t") for name, _ in stage1]
+    assert _one_object_per_answer([p for _, p in stage1])
 
 
 # --- table builders and files --------------------------------------------------
@@ -595,8 +623,7 @@ def _list_building_to_first_names(table):
     cleaned = {first: normalize_name(first) for first in dict.fromkeys(first for first, _ in firsts)}
     kept = [(cleaned[first], gc.female, gc.male) for first, gc in firsts if not isinstance(cleaned[first], Rejection)]
     if len(kept) < len(firsts):
-        logging.getLogger("namegender.corpus").info(
-            "to_first_names: dropped %d first tokens failing cleaning", len(firsts) - len(kept))
+        print(f"INFO to_first_names: dropped {len(firsts) - len(kept)} first tokens failing cleaning", file=sys.stderr)
     return FrequencyTable(_old_sum_counts(kept), NameType.FIRST, table.source_id)
 
 
@@ -605,14 +632,13 @@ FULL_NAMES = st.lists(st.sampled_from(["Ana", "ana", "ANA", "bo", "a", "Mr", "dr
                       min_size=1, max_size=3).map(" ".join)
 
 
-@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(deadline=None)
 @given(tables(st.one_of(FULL_NAMES, st.text("ab. Z", max_size=5).filter(lambda full: full.split())), NameType.FULL))
-def test_to_first_names_matches_the_list_building_version(caplog, full):
+def test_to_first_names_matches_the_list_building_version(full):
     def run(fold):
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="namegender.corpus"):
+        with redirect_stderr(io.StringIO()) as stderr:
             table = fold(full)
-        return list(table.entries.items()), table.name_type, table.source_id, caplog.messages
+        return list(table.entries.items()), table.name_type, table.source_id, stderr.getvalue()
 
     assert run(to_first_names) == run(_list_building_to_first_names)
 
@@ -709,9 +735,10 @@ def test_http_adapter_degrades_per_name_and_stores_only_what_maps(names, scripts
         assert sorted(name for name, _ in healthy.calls) == sorted(set(names) - set(stored))
 
 
-# A key holds no "=" or space and does not start with "#"; a value may hold "=", "#" and inner spaces.
+# A key holds no "=" or space and does not start with "#"; a value may hold "=", "#", inner spaces, and
+# characters other than "\n" at which str.splitlines would end a line.
 KV_KEYS = st.text("ab_.-#", min_size=1, max_size=4).filter(lambda key: not key.startswith("#"))
-KV_VALUES = st.one_of(st.builds(lambda text: (str, text.strip()), st.text("ab =#.", max_size=6)),
+KV_VALUES = st.one_of(st.builds(lambda text: (str, text.strip()), st.text("ab =#.\x0c\x1e\x85\u2028", max_size=6)),
                       st.builds(lambda n: (int, str(n)), st.integers(-99, 99)))
 KV_PADS = st.sampled_from(["", " ", "  ", "\t"])
 
