@@ -346,8 +346,23 @@ def ingest_ssa_years(
             log("WARNING", f"missing SSA year file: {path}")
             continue
         where = f"{path.name}: "
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
+                # A key of groups passed the field check on its first row and starts with no whitespace, so a
+                # row whose unstripped text before its last comma is a key needs only its count checked.
+                # Any other row, or a count int() refuses unstripped (it refuses "\x1c", which strip()
+                # removes) or below 1, takes the checked path below.
+                pair, _, text = line.rpartition(",")
+                group = groups.get(pair)
+                if group is not None:
+                    try:
+                        count = int(text)
+                    except ValueError:
+                        count = 0
+                    if count >= 1:
+                        group[0] += count
+                        group[1] += 1
+                        continue
                 line = line.strip()
                 pair, _, text = line.rpartition(",")
                 if pair.count(",") != 1:  # not 3 fields
@@ -573,7 +588,7 @@ def read_table_with_header(path: str | Path) -> tuple[FrequencyTable, dict[str, 
     """Read a table file, returning the table and any extra header fields."""
     path = Path(path)
     entries: dict[str, GenderCounts] = {}
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         first = fh.readline()
         if not first.startswith("# "):
             raise TableParseError(path, 1, "missing header line")
@@ -590,35 +605,61 @@ def read_table_with_header(path: str | Path) -> tuple[FrequencyTable, dict[str, 
             source_id = fields.pop("source_id")
         except (KeyError, ValueError) as exc:
             raise TableParseError(path, 1, f"bad or missing header field: {exc}") from None
-        # "female<TAB>male" text -> its GenderCounts: each distinct text is parsed,
-        # checked and built once, so names with the same text share one object
-        parsed: dict[str, GenderCounts] = {}
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+        body = fh.tell()
+        # Fast pass: no per-line newline strip, blank-line or duplicate test. A blank or malformed line has a
+        # refused count text, and a repeated name leaves fewer entries than lines; either way the body is
+        # read again with every line checked, which raises the first error in file order or skips blank lines.
+        parsed: dict[str, GenderCounts | str] = {}
+        shared: dict[GenderCounts, GenderCounts] = {}
+        lines = 0
+        for lines, line in enumerate(fh, start=1):
             name, _, rest = line.partition("\t")
-            counts = parsed.get(rest)
-            if counts is None:
-                counts = parsed[rest] = _parse_counts(path, line_no, rest)
-            if name in entries:
-                raise TableParseError(path, line_no, f"duplicate name {name!r}")
-            entries[name] = counts
+            entries[name] = parsed.get(rest) or _counts_of(rest, parsed, shared)
+        if len(entries) != lines or any(type(counts) is str for counts in parsed.values()):
+            entries.clear()
+            fh.seek(body)
+            _read_checked(fh, path, entries, parsed, shared)
     return FrequencyTable(entries, name_type, source_id), fields
 
 
-def _parse_counts(path: Path, line_no: int, rest: str) -> GenderCounts:
-    """The counts of a table line whose text after the name is rest."""
+def _read_checked(fh: Iterable[str], path: Path, entries: dict[str, GenderCounts], parsed: dict, shared: dict) -> None:
+    """Add the table body lines of fh to entries one by one, skipping blank lines and raising
+    TableParseError at the first refused count text or repeated name; parsed and shared as for _counts_of."""
+    for line_no, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        name, _, rest = line.partition("\t")
+        counts = parsed.get(rest) or _counts_of(rest, parsed, shared)
+        if type(counts) is str:
+            raise TableParseError(path, line_no, counts)
+        if name in entries:
+            raise TableParseError(path, line_no, f"duplicate name {name!r}")
+        entries[name] = counts
+
+
+def _counts_of(
+    rest: str, parsed: dict[str, GenderCounts | str], shared: dict[GenderCounts, GenderCounts]
+) -> GenderCounts | str:
+    """The counts of a table line whose text after the name is rest, or why they are refused. The answer
+    is cached in parsed under rest, so each distinct text is parsed once, and the counts are drawn from
+    shared, so names with equal counts share one object however their texts spell them."""
     fields = rest.split("\t")
     if len(fields) != 2:
-        raise TableParseError(path, line_no, "expected name<TAB>female<TAB>male")
-    try:
-        female, male = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise TableParseError(path, line_no, "counts must be integers") from None
-    if female < 0 or male < 0 or female + male < 1:
-        raise TableParseError(path, line_no, f"bad counts ({female}, {male})")
-    return GenderCounts(female, male)
+        counts: GenderCounts | str = "expected name<TAB>female<TAB>male"
+    else:
+        try:
+            female, male = int(fields[0]), int(fields[1])
+        except ValueError:
+            counts = "counts must be integers"
+        else:
+            if female < 0 or male < 0 or female + male < 1:
+                counts = f"bad counts ({female}, {male})"
+            else:
+                counts = GenderCounts(female, male)
+                counts = shared.setdefault(counts, counts)
+    parsed[rest] = counts
+    return counts
 
 
 def read_table(path: str | Path) -> FrequencyTable:
@@ -631,7 +672,7 @@ def parse_kv_file(path: str | Path, keys: Mapping[str, Callable[[str], object]])
     fields: dict[str, object] = {}
     first_lines: dict[str, int] = {}
     # lines end at "\n" alone (reading translates "\r\n" and "\r"): splitlines would also end one at \x85 or \u2028
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8-sig").split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

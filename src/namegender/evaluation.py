@@ -330,7 +330,7 @@ def write_testset(testset: LabeledTestSet, path: str | Path) -> None:
 def read_testset(path: str | Path) -> LabeledTestSet:
     path = Path(path)
     pairs = []
-    with path.open(encoding="utf-8") as fh:
+    with path.open(encoding="utf-8-sig") as fh:
         first = fh.readline().rstrip("\n")
         if not first.startswith("# testset="):
             raise TableParseError(path, 1, "missing testset header")

@@ -327,8 +327,6 @@ class HttpAdapter(Inferrer):
 
     def _fetch(self, name: str, credential: str) -> str | None:
         """Return raw response text, or None when all attempts failed."""
-        import requests
-
         url = self.config.endpoint.format(name=quote(name, safe=""), credential=credential)
         last_error: Exception | None = None
         for attempt in range(self.config.max_attempts):
@@ -337,7 +335,10 @@ class HttpAdapter(Inferrer):
             self._limiter.acquire()
             try:
                 response = self._session.get(url, timeout=self.config.timeout)
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except OSError as exc:  # requests' ConnectionError and Timeout subclass OSError: only they load requests
+                import requests
+                if not isinstance(exc, (requests.ConnectionError, requests.Timeout)):
+                    raise
                 last_error = exc
                 continue
             self._reached = True  # any status shows the endpoint answers
@@ -348,8 +349,10 @@ class HttpAdapter(Inferrer):
                 log("WARNING", f"{self.id}: {name!r} -> HTTP {response.status_code}")
                 return None
             return response.text
-        if isinstance(last_error, requests.ConnectionError) and not self._reached:
-            raise AdapterUnreachableError(f"{self.id}: endpoint unreachable: {last_error}")
+        if isinstance(last_error, OSError) and not self._reached:
+            import requests
+            if isinstance(last_error, requests.ConnectionError):
+                raise AdapterUnreachableError(f"{self.id}: endpoint unreachable: {last_error}")
         log("WARNING", f"{self.id}: {name!r} failed after {self.config.max_attempts} attempts: {last_error}")
         return None
 

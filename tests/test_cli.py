@@ -712,7 +712,7 @@ def http_body(url: str) -> FakeResponse:
 
 def test_requests_is_imported_only_to_fetch(tmp_path):
     """Importing the CLI never loads requests or sqlite3, an mle: infer never loads sqlite3,
-    and an eval answered from a warm HTTP cache never loads requests."""
+    and neither an eval answered from a warm HTTP cache nor a fetch through an injected session loads requests."""
     testset = tmp_path / "demo.test.tsv"
     write_testset_file(testset, [("ana", "female"), ("carl", "male")])
     conf = write_http_conf(tmp_path)
@@ -732,9 +732,17 @@ def test_requests_is_imported_only_to_fetch(tmp_path):
         f"print(cli.main({infer!r}), 'sqlite3' in sys.modules)\n"
         f"print(cli.main({argv!r}))\n"
         "print('requests' in sys.modules)\n"
+        "from namegender.inferrers import HttpAdapter, parse_adapter_config\n"
+        "class Response:\n"
+        "    status_code, text = 200, '{\"gender\": \"male\", \"probability\": 0.8}'\n"
+        "class Session:\n"
+        "    def get(self, url, timeout=None):\n"
+        "        return Response()\n"
+        f"print(HttpAdapter(parse_adapter_config({str(conf)!r}), session=Session()).infer('zed').label.value)\n"
+        "print('requests' in sys.modules)\n"
     )
     done = fresh_interpreter(script, cwd=tmp_path)
-    assert done.stdout.split() == ["False", "False", "0", "False", "0", "False"]
+    assert done.stdout.split() == ["False", "False", "0", "False", "0", "False", "male", "False"]
     lines = (tmp_path / "out" / "report.tsv").read_text(encoding="utf-8").splitlines()
     assert lines[1] == "svc\tdemo\t2\t100.00\t100.00\t100.00\t100.00\t0.00"
 

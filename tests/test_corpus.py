@@ -23,12 +23,15 @@ from namegender.corpus import (
     merge_tables,
     normalize_name,
     pairwise_overlap,
+    parse_kv_file,
     read_table,
     read_table_with_header,
     split_full_name,
     to_first_names,
     write_table,
 )
+from namegender.evaluation import LabeledTestSet, read_testset
+from namegender.mle import GenderLabel
 
 from conftest import random_name, random_table
 
@@ -681,3 +684,20 @@ def test_table_with_crlf_line_ends_loads(tmp_path):
     table, extras = read_table_with_header(path)
     assert table.entries == {"anna lee": GenderCounts(2, 1), "bob ray": GenderCounts(2, 1)}
     assert (table.name_type, table.source_id, extras) == (NameType.FULL, "x", {"tau": "0.9"})
+
+
+@pytest.mark.parametrize("reader", ["ssa", "table", "table with a blank line", "testset", "config"])
+def test_a_leading_utf8_bom_is_skipped_by_every_reader(tmp_path, reader):
+    # a blank table line sends the reader back to its checked pass, which must start past the BOM too
+    path = tmp_path / "yob1990.txt"
+    text, read, expected = {
+        "ssa": ("Mary,F,3\nMary,F,2\n", lambda: ingest_ssa_years(tmp_path, [1990])[0].entries, {"mary": (5, 0)}),
+        "table": (HEADER + "anna\t2\t1\n", lambda: read_table(path).entries, {"anna": (2, 1)}),
+        "table with a blank line": (HEADER + "anna\t2\t1\n\nbo\t0\t3\n", lambda: read_table(path).entries,
+                                    {"anna": (2, 1), "bo": (0, 3)}),
+        "testset": ("# testset=t\nanna\tfemale\n", lambda: read_testset(path),
+                    LabeledTestSet("t", (("anna", GenderLabel.FEMALE),))),
+        "config": ("id = svc\n", lambda: parse_kv_file(path, {"id": str}), {"id": "svc"}),
+    }[reader]
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    assert read() == expected

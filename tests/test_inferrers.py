@@ -430,6 +430,13 @@ def test_adapter_unreachable_on_first_probe_fails_fast():
         adapter.infer_batch(["anna"])
 
 
+def test_adapter_passes_on_an_os_error_that_requests_did_not_raise():
+    session = FakeSession(lambda url: PermissionError("denied"))
+    with pytest.raises(PermissionError, match="denied"):
+        HttpAdapter(adapter_config(), session=session).infer_batch(["anna"])
+    assert len(session.calls) == 1
+
+
 def test_adapter_connection_error_after_success_degrades():
     state = {"calls": 0}
 
