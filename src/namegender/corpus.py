@@ -605,61 +605,37 @@ def read_table_with_header(path: str | Path) -> tuple[FrequencyTable, dict[str, 
             source_id = fields.pop("source_id")
         except (KeyError, ValueError) as exc:
             raise TableParseError(path, 1, f"bad or missing header field: {exc}") from None
-        body = fh.tell()
-        # Fast pass: no per-line newline strip, blank-line or duplicate test. A blank or malformed line has a
-        # refused count text, and a repeated name leaves fewer entries than lines; either way the body is
-        # read again with every line checked, which raises the first error in file order or skips blank lines.
-        parsed: dict[str, GenderCounts | str] = {}
+        # "female<TAB>male" text -> its GenderCounts: each distinct text is parsed and checked once, and
+        # equal counts are drawn from shared however they are spelled, so names with equal counts share one object
+        parsed: dict[str, GenderCounts] = {}
         shared: dict[GenderCounts, GenderCounts] = {}
-        lines = 0
-        for lines, line in enumerate(fh, start=1):
+        for line_no, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
             name, _, rest = line.partition("\t")
-            entries[name] = parsed.get(rest) or _counts_of(rest, parsed, shared)
-        if len(entries) != lines or any(type(counts) is str for counts in parsed.values()):
-            entries.clear()
-            fh.seek(body)
-            _read_checked(fh, path, entries, parsed, shared)
+            counts = parsed.get(rest)
+            if counts is None:
+                counts = _parse_counts(path, line_no, rest)
+                counts = parsed[rest] = shared.setdefault(counts, counts)
+            if name in entries:
+                raise TableParseError(path, line_no, f"duplicate name {name!r}")
+            entries[name] = counts
     return FrequencyTable(entries, name_type, source_id), fields
 
 
-def _read_checked(fh: Iterable[str], path: Path, entries: dict[str, GenderCounts], parsed: dict, shared: dict) -> None:
-    """Add the table body lines of fh to entries one by one, skipping blank lines and raising
-    TableParseError at the first refused count text or repeated name; parsed and shared as for _counts_of."""
-    for line_no, line in enumerate(fh, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        name, _, rest = line.partition("\t")
-        counts = parsed.get(rest) or _counts_of(rest, parsed, shared)
-        if type(counts) is str:
-            raise TableParseError(path, line_no, counts)
-        if name in entries:
-            raise TableParseError(path, line_no, f"duplicate name {name!r}")
-        entries[name] = counts
-
-
-def _counts_of(
-    rest: str, parsed: dict[str, GenderCounts | str], shared: dict[GenderCounts, GenderCounts]
-) -> GenderCounts | str:
-    """The counts of a table line whose text after the name is rest, or why they are refused. The answer
-    is cached in parsed under rest, so each distinct text is parsed once, and the counts are drawn from
-    shared, so names with equal counts share one object however their texts spell them."""
+def _parse_counts(path: Path, line_no: int, rest: str) -> GenderCounts:
+    """The counts of a table line whose text after the name is rest."""
     fields = rest.split("\t")
     if len(fields) != 2:
-        counts: GenderCounts | str = "expected name<TAB>female<TAB>male"
-    else:
-        try:
-            female, male = int(fields[0]), int(fields[1])
-        except ValueError:
-            counts = "counts must be integers"
-        else:
-            if female < 0 or male < 0 or female + male < 1:
-                counts = f"bad counts ({female}, {male})"
-            else:
-                counts = GenderCounts(female, male)
-                counts = shared.setdefault(counts, counts)
-    parsed[rest] = counts
-    return counts
+        raise TableParseError(path, line_no, "expected name<TAB>female<TAB>male")
+    try:
+        female, male = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise TableParseError(path, line_no, "counts must be integers") from None
+    if female < 0 or male < 0 or female + male < 1:
+        raise TableParseError(path, line_no, f"bad counts ({female}, {male})")
+    return GenderCounts(female, male)
 
 
 def read_table(path: str | Path) -> FrequencyTable:

@@ -349,7 +349,7 @@ class HttpAdapter(Inferrer):
                 log("WARNING", f"{self.id}: {name!r} -> HTTP {response.status_code}")
                 return None
             return response.text
-        if isinstance(last_error, OSError) and not self._reached:
+        if last_error is not None and not self._reached:  # then every attempt raised a requests error
             import requests
             if isinstance(last_error, requests.ConnectionError):
                 raise AdapterUnreachableError(f"{self.id}: endpoint unreachable: {last_error}")

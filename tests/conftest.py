@@ -12,7 +12,7 @@ from namegender.corpus import FrequencyTable, GenderCounts, NameType
 
 # CI runs HYPOTHESIS_PROFILE=ci: the same examples every run, and a failure prints the blob that replays it.
 settings.register_profile("ci", derandomize=True, print_blob=True)
-# CI runs the reference properties of the table and SSA readers' fast paths again under HYPOTHESIS_PROFILE=ci-readers.
+# CI runs the SSA and table readers' reference properties again under HYPOTHESIS_PROFILE=ci-readers.
 settings.register_profile("ci-readers", parent=settings.get_profile("ci"), max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 

@@ -688,7 +688,6 @@ def test_table_with_crlf_line_ends_loads(tmp_path):
 
 @pytest.mark.parametrize("reader", ["ssa", "table", "table with a blank line", "testset", "config"])
 def test_a_leading_utf8_bom_is_skipped_by_every_reader(tmp_path, reader):
-    # a blank table line sends the reader back to its checked pass, which must start past the BOM too
     path = tmp_path / "yob1990.txt"
     text, read, expected = {
         "ssa": ("Mary,F,3\nMary,F,2\n", lambda: ingest_ssa_years(tmp_path, [1990])[0].entries, {"mary": (5, 0)}),
