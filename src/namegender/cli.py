@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import importlib.util
 import sys
+import time
 from pathlib import Path
 from types import ModuleType
 from typing import Callable, Iterator, Sequence, TextIO
@@ -93,20 +94,26 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _timestamp(time_ns: int) -> str:
+    """The UTC time time_ns nanoseconds after the epoch, as datetime's isoformat() writes it, without datetime's import."""
+    seconds, micros = divmod(time_ns // 1000, 1_000_000)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + (f".{micros:06d}" if micros else "") + "+00:00"
+
+
 def _write_manifest(args: argparse.Namespace, manifest: _Manifest) -> None:
     import json
-    from datetime import datetime, timezone  # about 0.6 MB of RSS, which only the timestamp needs
 
     out_dir, inputs, configs = manifest
     if args.config:
         configs = [*configs, args.config]
+    digests = {p: _sha256(p) for p in dict.fromkeys(map(str, [*inputs, *configs]))}  # each distinct file hashed once
     document = {
         "command": list(args._argv),
         "seed": args.seed,
         "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "input_digests": {str(p): _sha256(p) for p in inputs},
-        "config_digests": {str(p): _sha256(p) for p in configs},
+        "timestamp": _timestamp(time.time_ns()),
+        "input_digests": {str(p): digests[str(p)] for p in inputs},
+        "config_digests": {str(p): digests[str(p)] for p in configs},
     }
     (out_dir / f"{args.command}.manifest.json").write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -414,12 +415,16 @@ def to_first_names(table: FrequencyTable) -> FrequencyTable:
     """
     if table.name_type is NameType.FIRST:
         return table
+    # (raw first token, counts) -> number of full names: full names share few counts, so each pair is summed once
+    try:
+        pairs = Counter(zip(map(itemgetter(0), map(str.split, table.entries)), table.entries.values()))
+    except IndexError:  # a name with no token
+        raise ValueError("cannot split an empty full name") from None
     # raw first token -> (female, male, number of full names): a token starts many full names, so it is spelled once
     tokens: dict[str, tuple[int, int, int]] = {}
-    for full, gc in table.entries.items():
-        token = split_full_name(full)[0]
+    for (token, gc), n in pairs.items():
         female, male, fulls = tokens.get(token, (0, 0, 0))
-        tokens[token] = (female + gc.female, male + gc.male, fulls + 1)
+        tokens[token] = (female + n * gc.female, male + n * gc.male, fulls + n)
     firsts: dict[str, tuple[int, int, int]] = {}  # first token's spelling -> (female, male, number of full names)
     for token, (female, male, fulls) in tokens.items():
         first = _spelling(token)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import corpus, mle
 from .inferrers import HttpAdapter, Inferrer, MleInferrer, MockInferrer, parse_adapter_config
@@ -141,18 +141,23 @@ def build_inferrers(specs: Sequence[str]) -> tuple[list[Inferrer], list[Path]]:
     http:CONFIG_FILE      external service adapter
     twostage:CONFIG_FILE  two-stage ensemble (see _TWOSTAGE_KEYS)
 
-    The specs share one model per model file, however its path is written.
+    However its path is written, the specs share one model per model file, and one inferrer per mock file or
+    adapter config and id, so a service has one rate limiter.
     """
     paths: list[Path] = []
-    models: dict[Path, MleModel] = {}  # resolved path -> model, freed when the call returns
-    return [_build(spec, paths, models) for spec in specs], paths
+    loaded: dict[tuple[str, Path, str | None], object] = {}  # (kind, resolved path, id) -> model or inferrer, freed on return
+    return [_build(spec, paths, loaded) for spec in specs], paths
 
 
-def _model(path: str | Path, models: dict[Path, MleModel]) -> MleModel:
-    key = Path(path).resolve()
-    if key not in models:
-        models[key] = mle.load_model(path)
-    return models[key]
+_T = TypeVar("_T")
+
+
+def _shared(kind: str, path: str | Path, id: str | None, loaded: dict, load: Callable[[], _T]) -> _T:
+    """What load() returns, loaded once per kind, file and id while `loaded` lives."""
+    key = (kind, Path(path).resolve(), id)
+    if key not in loaded:
+        loaded[key] = load()
+    return loaded[key]
 
 
 def _beside(config_file: str, path: str) -> str:
@@ -160,7 +165,7 @@ def _beside(config_file: str, path: str) -> str:
     return path if Path(path).is_absolute() else str((Path(config_file).parent / path).resolve())
 
 
-def _build(spec: str, paths: list[Path], models: dict[Path, MleModel], config_file: str | None = None) -> Inferrer:
+def _build(spec: str, paths: list[Path], loaded: dict, config_file: str | None = None) -> Inferrer:
     """The inferrer of one spec, written in the file at config_file if one is given."""
     id = None
     if "=" in spec.split(":", 1)[0]:
@@ -174,11 +179,12 @@ def _build(spec: str, paths: list[Path], models: dict[Path, MleModel], config_fi
         arg = _beside(config_file, arg)
     paths.append(Path(arg))
     if kind == "mle":
-        return MleInferrer(_model(arg, models), id=id)
+        return MleInferrer(_shared("mle", arg, None, loaded, lambda: mle.load_model(arg)), id=id)
     if kind == "mock":
-        return MockInferrer.from_json(arg, id=id)
+        return _shared(kind, arg, Path(arg).stem if id is None else id, loaded, lambda: MockInferrer.from_json(arg, id))
     if kind == "http":
-        return HttpAdapter(parse_adapter_config(arg, id))
+        config = parse_adapter_config(arg, id)
+        return _shared(kind, arg, config.id, loaded, lambda: HttpAdapter(config))
     fields = corpus.parse_kv_file(arg, _TWOSTAGE_KEYS)
     if "model" not in fields:
         raise ValueError(f"{arg}: two-stage config requires model =")
@@ -186,9 +192,9 @@ def _build(spec: str, paths: list[Path], models: dict[Path, MleModel], config_fi
         raise ValueError(f"{arg}: two-stage config needs exactly one of fallback = and voters =")
     model_path = Path(_beside(arg, fields["model"]))
     paths.append(model_path)
-    model = _model(model_path, models)
+    model = _shared("mle", model_path, None, loaded, lambda: mle.load_model(model_path))
     if "voters" in fields:
-        fallback: Inferrer = VotingInferrer([_build(voter, paths, models, arg) for voter in fields["voters"]])
+        fallback: Inferrer = VotingInferrer([_build(voter, paths, loaded, arg) for voter in fields["voters"]])
     else:
-        fallback = _build(fields["fallback"], paths, models, arg)
+        fallback = _build(fields["fallback"], paths, loaded, arg)
     return TwoStageInferrer(model, fallback, fields.get("band", DEFAULT_DEFER_BAND), id=id or fields.get("id"))

@@ -17,7 +17,7 @@ from contextlib import closing
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
-from urllib.parse import quote
+from urllib.parse import quote, urlsplit
 
 from .corpus import GenderCounts, log, parse_kv_file
 from .mle import GenderLabel, MleModel, Prediction
@@ -91,10 +91,10 @@ class MockInferrer(Inferrer):
             raw = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(raw, dict):
                 raise ValueError("expected an object mapping names to entries")
-            predictions = {}
+            predictions, by_value = {}, {label.value: label for label in GenderLabel}
             for name, entry in raw.items():
                 try:
-                    predictions[name] = (GenderLabel(entry["label"]), entry.get("p_female"))
+                    predictions[name] = (by_value[entry["label"]], entry.get("p_female"))
                 except (KeyError, TypeError, ValueError):
                     labels = ", ".join(label.value for label in GenderLabel)
                     raise ValueError(f"entry {name!r}: expected an object with a label out of {labels}") from None
@@ -228,6 +228,9 @@ class ExternalAdapterConfig(_AdapterFields):
             raise AdapterConfigError("timeout must be positive")
         if "{name}" not in self.endpoint:
             raise AdapterConfigError("endpoint template must contain {name}")
+        url = urlsplit(self.endpoint)  # a bad host raises ValueError, which parse_adapter_config names the file for
+        if url.scheme not in ("http", "https") or not url.netloc:
+            raise AdapterConfigError(f"endpoint must be an http(s) URL with a host, got {self.endpoint!r}")
         if self.confidence_scale not in ("unit", "percent"):
             raise AdapterConfigError(f"bad confidence_scale {self.confidence_scale!r}")
 
@@ -262,13 +265,13 @@ def parse_adapter_config(path: str | Path, id: str | None = None) -> ExternalAda
         fields["id"] = id
     try:
         return ExternalAdapterConfig(**fields)  # type: ignore[arg-type]
-    except AdapterConfigError as exc:
+    except ValueError as exc:
         raise AdapterConfigError(f"{path}: {exc}") from None
 
 
-# Fetched names are stored one transaction per this many, so an interrupted
-# batch keeps every chunk but the one in flight.
-_STORE_CHUNK = 1000
+# Stored names are read one query per this many, SQLite's oldest limit on a query's parameters. Fetched
+# names are stored one transaction per this many, so an interrupted batch keeps every chunk but the one in flight.
+_STORE_CHUNK = 999
 
 
 def _walk_path(data: object, dotted: str) -> object:
@@ -337,9 +340,9 @@ class HttpAdapter(Inferrer):
             self._limiter.acquire()
             try:
                 response = self._session.get(url, timeout=self.config.timeout)
-            except OSError as exc:  # requests' ConnectionError and Timeout subclass OSError: only they load requests
+            except OSError as exc:  # every requests error subclasses OSError: only an OSError loads requests
                 import requests
-                if not isinstance(exc, (requests.ConnectionError, requests.Timeout)):
+                if not isinstance(exc, requests.RequestException):
                     raise
                 last_error = exc
                 continue
@@ -382,12 +385,15 @@ class HttpAdapter(Inferrer):
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
         credential = self._credential()
+        distinct = list(dict.fromkeys(names))
         with closing(self._open_store()) as db:
-            # each distinct name is read from the store, or else fetched, once per batch
-            answers: dict[str, Prediction | None] = {}
-            for name in dict.fromkeys(names):
-                row = db.execute("SELECT text FROM responses WHERE name = ?", (name,)).fetchone()
-                answers[name] = self._parse(name, row[0] if row else None)
+            # each distinct name is read from the store, one query per chunk, or else fetched, once per batch
+            stored: dict[str, str] = {}
+            for start in range(0, len(distinct), _STORE_CHUNK):
+                chunk = distinct[start : start + _STORE_CHUNK]
+                query = f"SELECT name, text FROM responses WHERE name IN ({','.join('?' * len(chunk))})"
+                stored.update(db.execute(query, chunk))
+            answers = {name: self._parse(name, stored.get(name)) for name in distinct}
             misses = [name for name, answer in answers.items() if answer is None]
             if misses and self._session is None:
                 import requests

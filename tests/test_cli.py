@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import gc
@@ -529,6 +530,31 @@ def test_manifest_digest_falls_back_to_hashlib_without_a_built_in_sha256(tmp_pat
         f"print('hashlib' in sys.modules, cli._sha256({str(path)!r}), 'hashlib' in sys.modules)\n"
     )
     assert fresh_interpreter(script).stdout.split() == ["False", hashlib.sha256(data).hexdigest(), "True"]
+
+
+@pytest.mark.parametrize("time_ns", [0, 999, 1_000, 1_700_000_000_000_000_000, 1_700_000_000_123_456_789,
+                                     1_709_164_799_999_999_999, 4_102_444_800_000_001_000])
+def test_manifest_timestamp_is_datetimes_isoformat(time_ns):
+    from datetime import datetime, timedelta, timezone
+
+    expected = datetime.fromtimestamp(0, timezone.utc) + timedelta(microseconds=time_ns // 1000)
+    assert cli._timestamp(time_ns) == expected.isoformat()
+    assert ("." in cli._timestamp(time_ns)) == (expected.microsecond != 0)
+
+
+def test_manifest_hashes_a_file_listed_three_times_once(tmp_path, monkeypatch):
+    table, config = tmp_path / "a.table.tsv", tmp_path / "run.conf"
+    table.write_text("x\n", encoding="utf-8")
+    config.write_text("seed = 1\n", encoding="utf-8")
+    hashed, sha256 = [], cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(str(path)) or sha256(path))
+    args = argparse.Namespace(_argv=["eval"], seed=1, command="eval", config=str(config))
+    cli._write_manifest(args, (tmp_path, [table, str(table)], [Path(str(table)), config]))
+    assert sorted(hashed) == sorted([str(table), str(config)])
+    manifest = json.loads((tmp_path / "eval.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["input_digests"] == {str(table): hashlib.sha256(b"x\n").hexdigest()}
+    assert manifest["config_digests"] == {str(table): hashlib.sha256(b"x\n").hexdigest(),
+                                          str(config): hashlib.sha256(b"seed = 1\n").hexdigest()}
 
 
 @pytest.mark.skipif(not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))),

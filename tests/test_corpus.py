@@ -350,6 +350,13 @@ def test_to_first_names_drops_invalid_first_tokens():
     assert set(first.entries) == {"bo"}
 
 
+@pytest.mark.parametrize("empty", ["", "  \t"])
+def test_to_first_names_refuses_a_full_name_without_a_token(empty):
+    full = FrequencyTable({"ana diaz": GenderCounts(1, 0), empty: GenderCounts(1, 0)}, NameType.FULL, "v")
+    with pytest.raises(ValueError, match="^cannot split an empty full name$"):
+        to_first_names(full)
+
+
 def test_to_first_names_shares_one_counts_object_per_pair():
     full = FrequencyTable(
         {f"{first} {last}": GenderCounts(1, 0) for first, last in product(["ana", "bea", "cleo"], ["diaz", "ruiz"])},

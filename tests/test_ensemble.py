@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import pytest
 
 from namegender.corpus import FrequencyTable, GenderCounts, NameType
-from namegender.ensemble import TwoStageInferrer, VotingInferrer, majority_vote
+from namegender.ensemble import TwoStageInferrer, VotingInferrer, build_inferrers, majority_vote
 from namegender.evaluation import LabeledTestSet, evaluate_run
-from namegender.inferrers import Inferrer, MockInferrer
-from namegender.mle import GenderLabel, Prediction, train
+from namegender.inferrers import HttpAdapter, Inferrer, MockInferrer
+from namegender.mle import GenderLabel, Prediction, save_model, train
 
 
 class CountingMock(Inferrer):
@@ -268,3 +269,31 @@ def test_evaluate_run_notes_the_vote_ties_of_each_two_stage_inferrer_in_the_orde
     assert [row.inferrer_id for row in report.rows] == ["a", "plain", "z"]
     assert report.notes == ["z: vote ties = 1", "a: vote ties = 1"]
     assert report.to_text().splitlines()[-2:] == ["note: z: vote ties = 1", "note: a: vote ties = 1"]
+
+
+# --- inferrer specs -----------------------------------------------------------
+
+
+def test_build_inferrers_shares_one_inferrer_per_mock_file_or_adapter_config_and_id(tmp_path, monkeypatch):
+    (tmp_path / "m.json").write_text(json.dumps({"ana": {"label": "female", "p_female": 0.9}}), encoding="utf-8")
+    (tmp_path / "svc.conf").write_text("id = svc\nendpoint = https://svc.example/v1?name={name}\n", encoding="utf-8")
+    save_model(model_with({"ana": (9, 1)}), tmp_path / "m.model.tsv")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "ts.conf").write_text("model = ../m.model.tsv\nfallback = mock:../m.json\n", encoding="utf-8")
+    (tmp_path / "sub" / "vote.conf").write_text(
+        "model = ../m.model.tsv\nvoters = http:../svc.conf; mock:../m.json; other=mock:../m.json\n", encoding="utf-8")
+    loads = []
+    from_json = MockInferrer.from_json.__func__
+    monkeypatch.setattr(MockInferrer, "from_json", classmethod(lambda cls, *args: loads.append(args) or from_json(cls, *args)))
+    specs = [f"mock:{tmp_path / 'm.json'}", f"http:{tmp_path / 'svc.conf'}", f"twostage:{tmp_path / 'sub' / 'ts.conf'}",
+             f"twostage:{tmp_path / 'sub' / 'vote.conf'}", f"x=mock:{tmp_path / 'm.json'}"]
+    (mock, http, two_stage, voting, renamed), _ = build_inferrers(specs)
+    assert isinstance(mock, MockInferrer) and isinstance(http, HttpAdapter)
+    # the same file under the same id, however its path is written, is one inferrer
+    assert two_stage.fallback is mock
+    same_http, same_mock, other = voting.fallback.voters
+    assert same_http is http and same_mock is mock  # so the service has one rate limiter
+    # a different id is a separate inferrer
+    assert other is not mock and other.id == "other"
+    assert renamed is not mock and renamed.id == "x"
+    assert len(loads) == 3

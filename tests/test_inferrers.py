@@ -131,7 +131,7 @@ def test_adapter_reads_a_cached_name_once_per_batch(tmp_path, monkeypatch):
     config = adapter_config(cache_dir=str(tmp_path))
     body = json.dumps({"gender": "male", "accuracy": 80})
     first = HttpAdapter(config, session=FakeSession(lambda url: FakeResponse(200, body)))
-    assert first.infer("bo").label is GenderLabel.MALE
+    assert [p.label for p in first.infer_batch(["bo", "al"])] == [GenderLabel.MALE] * 2
     statements = []
     connect = sqlite3.connect
 
@@ -142,9 +142,10 @@ def test_adapter_reads_a_cached_name_once_per_batch(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sqlite3, "connect", traced_connect)
     replay = FakeSession(lambda url: FakeResponse(500))
-    preds = HttpAdapter(config, session=replay).infer_batch(["bo", "bo", "bo"])
-    assert [p.label for p in preds] == [GenderLabel.MALE] * 3
-    assert [s for s in statements if s.startswith("SELECT")] == ["SELECT text FROM responses WHERE name = 'bo'"]
+    preds = HttpAdapter(config, session=replay).infer_batch(["bo", "al", "bo", "bo", "al"])
+    assert [p.label for p in preds] == [GenderLabel.MALE] * 5
+    # one query covers each distinct name once, in order of first occurrence
+    assert [s for s in statements if s.startswith("SELECT")] == ["SELECT name, text FROM responses WHERE name IN ('bo','al')"]
     assert replay.calls == []
 
 
@@ -355,6 +356,10 @@ def test_parse_adapter_config_takes_the_spec_id_and_checks_the_config(tmp_path):
     ("backoff", "-1", "backoff must be >= 0"),
     ("timeout", "0", "timeout must be positive"),
     ("endpoint", "https://e/", "endpoint template must contain {name}"),
+    ("endpoint", "e.example/{name}", "endpoint must be an http(s) URL with a host, got 'e.example/{name}'"),
+    ("endpoint", "ftp://e/{name}", "endpoint must be an http(s) URL with a host, got 'ftp://e/{name}'"),
+    ("endpoint", "https:///v1?name={name}", "endpoint must be an http(s) URL with a host, got 'https:///v1?name={name}'"),
+    ("endpoint", "https://[e/{name}", "Invalid IPv6 URL"),
     ("confidence_scale", "percentage", "bad confidence_scale 'percentage'"),
 ])
 def test_parse_adapter_config_checks_name_the_file(tmp_path, key, value, reason):
@@ -436,6 +441,20 @@ def test_adapter_passes_on_an_os_error_that_requests_did_not_raise():
     with pytest.raises(PermissionError, match="denied"):
         HttpAdapter(adapter_config(), session=session).infer_batch(["anna"])
     assert len(session.calls) == 1
+
+
+@pytest.mark.parametrize("error", [requests.exceptions.ChunkedEncodingError, requests.exceptions.ContentDecodingError,
+                                   requests.TooManyRedirects, requests.exceptions.RetryError])
+def test_a_per_name_transport_fault_is_retried_and_degrades_only_that_name(error, capsys):
+    def handler(url):
+        return error("broken mid-body") if url.endswith("=bad") else FakeResponse(200, json.dumps({"gender": "female", "accuracy": 90}))
+
+    session = FakeSession(handler)
+    preds = HttpAdapter(adapter_config(max_attempts=3), session=session).infer_batch(["anna", "bad", "maria"])
+    female, unknown = Prediction(GenderLabel.FEMALE, 0.9, "svc"), Prediction(GenderLabel.UNKNOWN, None, "svc")
+    assert preds == [female, unknown, female]
+    assert [url.rsplit("=", 1)[1] for _, url in session.calls] == ["anna", "bad", "bad", "bad", "maria"]
+    assert capsys.readouterr().err == "WARNING svc: 'bad' failed after 3 attempts: broken mid-body\n"
 
 
 def test_adapter_connection_error_after_success_degrades():

@@ -1,8 +1,9 @@
 """Property tests: ingestion and batch inference match per-row and per-name
 references; scoring, error analysis and report rendering agree; table files,
 merges and full-to-first-name folds match the list-building code they
-replaced; the HTTP adapter degrades per name under injected faults; a
-`key = value` file reads back exactly its declared keys."""
+replaced; the HTTP adapter degrades per name under injected faults, and its
+chunked store reads match one query per name; a `key = value` file reads
+back exactly its declared keys."""
 
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ import unicodedata
 from collections import defaultdict
 from contextlib import closing, redirect_stderr
 from pathlib import Path
+from unittest import mock
+from urllib.parse import unquote
 
 import pytest
 import requests
@@ -56,6 +59,7 @@ from namegender.evaluation import (
     aggregate,
     score,
 )
+from namegender import inferrers
 from namegender.ensemble import TwoStageInferrer, majority_vote
 from namegender.inferrers import (
     AdapterUnreachableError,
@@ -66,7 +70,7 @@ from namegender.inferrers import (
 )
 from namegender.mle import GenderLabel, MleModel, Prediction, train
 
-from conftest import FakeResponse
+from conftest import FakeResponse, FakeSession
 
 # Raw names repeat with case and space variants, and include titles, digits,
 # one-letter names and names without a vowel.
@@ -662,9 +666,14 @@ def test_to_first_names_matches_the_list_building_version(full):
     assert run(to_first_names) == run(_list_building_to_first_names)
 
 
-# What the fake endpoint does with one request: "bad" is a 200 that does not parse, "odd" one that does not map.
-OUTCOMES = st.sampled_from(["refused", "timeout", "503", "429", "404", "bad", "odd", "ok"])
-TRANSPORT_FAILURES = {"refused", "timeout"}
+# Every error requests defines, by name.
+REQUEST_ERRORS = {error.__name__: error for error in vars(requests.exceptions).values()
+                  if isinstance(error, type) and issubclass(error, requests.RequestException)}
+# What the fake endpoint does with one request: raise a requests error, answer an error status, or answer 200,
+# where "bad" does not parse and "odd" does not map.
+OUTCOMES = st.one_of(st.sampled_from(sorted(REQUEST_ERRORS)), st.sampled_from(["503", "429", "404", "bad", "odd", "ok"]))
+TRANSPORT_FAILURES = set(REQUEST_ERRORS)
+REFUSALS = {name for name, error in REQUEST_ERRORS.items() if issubclass(error, requests.ConnectionError)}
 RETRIED = TRANSPORT_FAILURES | {"503", "429"}
 # Each name's good response and the prediction it maps to.
 GOOD = {
@@ -691,23 +700,22 @@ class ScriptedSession:
         script = self.scripts.get(name, ["ok"])
         outcome = script[min(sum(asked == name for asked, _ in self.calls), len(script) - 1)]
         self.calls.append((name, outcome))
-        if outcome == "refused":
-            raise requests.ConnectionError("refused")
-        if outcome == "timeout":
-            raise requests.Timeout("timed out")
+        if outcome in REQUEST_ERRORS:
+            error = REQUEST_ERRORS[outcome]
+            raise error(outcome, "", 0) if issubclass(error, json.JSONDecodeError) else error(outcome)
         if outcome in ("503", "429", "404"):
             return FakeResponse(int(outcome))
         return FakeResponse(200, {"bad": "<html>", "odd": '{"gender": "nonbinary"}'}.get(outcome) or _good_text(name))
 
 
 def _gave_up_unreached(calls: list[tuple[str, str]], max_attempts: int) -> bool:
-    """Whether, in call order, a name failed every attempt in transport, the last one refused, before any
-    request got an HTTP response."""
+    """Whether, in call order, a name failed every attempt in transport, the last one with a requests
+    ConnectionError, before any request got an HTTP response."""
     for _, group in itertools.groupby(calls, key=lambda call: call[0]):
         outcomes = [outcome for _, outcome in group]
         if not set(outcomes) <= TRANSPORT_FAILURES:
             return False
-        if len(outcomes) == max_attempts and outcomes[-1] == "refused":
+        if len(outcomes) == max_attempts and outcomes[-1] in REFUSALS:
             return True
     return False
 
@@ -719,8 +727,10 @@ def _gave_up_unreached(calls: list[tuple[str, str]], max_attempts: int) -> bool:
     st.integers(1, 3),
 )
 # an error status, then a name whose every attempt is refused: the endpoint was reached, so that name degrades
-@example(["anna", "bo"], {"anna": ["404"], "bo": ["refused"], "cleo": ["ok"], "dan": ["ok"]}, 2)
-@example(["anna", "bo"], {"anna": ["503"], "bo": ["refused"], "cleo": ["ok"], "dan": ["ok"]}, 2)
+@example(["anna", "bo"], {"anna": ["404"], "bo": ["ConnectionError"], "cleo": ["ok"], "dan": ["ok"]}, 2)
+@example(["anna", "bo"], {"anna": ["503"], "bo": ["ConnectionError"], "cleo": ["ok"], "dan": ["ok"]}, 2)
+# a connection broken mid-body is retried, then degrades that name only
+@example(["anna", "bo"], {"anna": ["ChunkedEncodingError"], "bo": ["ok"], "cleo": ["ok"], "dan": ["ok"]}, 2)
 def test_http_adapter_degrades_per_name_and_stores_only_what_maps(names, scripts, max_attempts):
     with tempfile.TemporaryDirectory() as tmp:
         config = ExternalAdapterConfig(id="svc", endpoint="https://svc.example/v1?name={name}", rate_limit=10_000.0,
@@ -752,6 +762,64 @@ def test_http_adapter_degrades_per_name_and_stores_only_what_maps(names, scripts
         healthy = ScriptedSession({})
         assert HttpAdapter(config, session=healthy).infer_batch(names) == [GOOD[name][1] for name in names]
         assert sorted(name for name, _ in healthy.calls) == sorted(set(names) - set(stored))
+
+
+class _PerNameStoreAdapter(HttpAdapter):
+    """HttpAdapter as it was when it read its store with one query per distinct name."""
+
+    def _infer_chunk(self, names):
+        credential = self._credential()
+        with closing(self._open_store()) as db:
+            answers = {}
+            for name in dict.fromkeys(names):
+                row = db.execute("SELECT text FROM responses WHERE name = ?", (name,)).fetchone()
+                answers[name] = self._parse(name, row[0] if row else None)
+            misses = [name for name, answer in answers.items() if answer is None]
+            for start in range(0, len(misses), inferrers._STORE_CHUNK):
+                mapped = []
+                for name in misses[start : start + inferrers._STORE_CHUNK]:
+                    text = self._fetch(name, credential)
+                    answers[name] = self._parse(name, text)
+                    if answers[name] is not None:
+                        mapped.append((name, text))
+                with db:
+                    db.executemany("INSERT OR REPLACE INTO responses VALUES (?, ?)", mapped)
+        unknown = Prediction(GenderLabel.UNKNOWN, None, self.id)
+        return [answers[name] or unknown for name in names]
+
+
+STORE_NAMES = st.sampled_from(["anna", "bo", "cleo", "dan", "eve", "o'neil", "zoë", "x y"])
+# A stored or served response: three that map, one that does not parse and one that does not map.
+RESPONSES = st.sampled_from(['{"gender": "female"}', '{"gender": "andy"}', '{"gender": "unknown"}', "<html>",
+                             '{"gender": "nonbinary"}'])
+
+
+@settings(deadline=None)
+@given(st.lists(STORE_NAMES, min_size=1, max_size=12), st.dictionaries(STORE_NAMES, RESPONSES),
+       st.dictionaries(STORE_NAMES, RESPONSES))
+def test_http_adapter_reads_its_store_in_chunks_as_it_read_it_per_name(names, stored, served):
+    """Names the store holds (mapped or not) or lacks, repeated in a batch and read two per query, give the
+    predictions, requests, stored rows and warnings of one query per name."""
+
+    def serve(url):
+        text = served.get(unquote(url.rsplit("=", 1)[1]))
+        return FakeResponse(404) if text is None else FakeResponse(200, text)
+
+    def run(adapter_class):
+        with tempfile.TemporaryDirectory() as tmp:
+            with closing(sqlite3.connect(Path(tmp) / "svc.sqlite")) as db, db:
+                db.execute("CREATE TABLE responses (name TEXT PRIMARY KEY, text TEXT NOT NULL)")
+                db.executemany("INSERT INTO responses VALUES (?, ?)", stored.items())
+            config = ExternalAdapterConfig(id="svc", endpoint="https://svc.example/v1?name={name}", rate_limit=1e6,
+                                           max_attempts=1, cache_dir=tmp)
+            session = FakeSession(serve)
+            with redirect_stderr(io.StringIO()) as stderr, mock.patch.object(inferrers, "_STORE_CHUNK", 2):
+                preds = adapter_class(config, session=session).infer_batch(names)
+            with closing(sqlite3.connect(Path(tmp) / "svc.sqlite")) as db:
+                rows = sorted(db.execute("SELECT name, text FROM responses"))
+        return preds, [url for _, url in session.calls], rows, stderr.getvalue()
+
+    assert run(HttpAdapter) == run(_PerNameStoreAdapter)
 
 
 # A key holds no "=" or space and does not start with "#"; a value may hold "=", "#", inner spaces, and
