@@ -359,7 +359,7 @@ def cmd_infer(args: argparse.Namespace) -> _Manifest | None:
     out_path = Path(args.out) if args.out else None
     sink = None
     with contextlib.ExitStack() as stack:
-        source = sys.stdin if args.names == "-" else stack.enter_context(open(args.names, encoding="utf-8"))
+        source = sys.stdin if args.names == "-" else stack.enter_context(open(args.names, encoding="utf-8-sig"))
         try:
             for names in _name_blocks(source):
                 text = format_block(names, inferrer.infer_batch(names))
@@ -430,15 +430,6 @@ def cmd_analyze(args: argparse.Namespace) -> _Manifest:
 # --- argument parsing ---------------------------------------------------------
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="seed for any randomness")
-    parser.add_argument("--config", default=None, help="key=value file of default option values")
-    parser.add_argument("--out-dir", default=None, help="directory for output artifacts")
-    parser.add_argument(
-        "--format", choices=_FORMATS, default=None, help="output format"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="namegender",
@@ -446,8 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several commands; each command takes only those it reads
+    common, out_dir, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    common.add_argument("--seed", type=int, default=None, help="seed for any randomness")
+    common.add_argument("--config", default=None, help="key=value file of default option values")
+    out_dir.add_argument("--out-dir", default=None, help="directory for output artifacts")
+    fmt.add_argument("--format", choices=_FORMATS, default=None, help="output format")
 
-    p = sub.add_parser("ingest", help="build a frequency table from a labeled corpus")
+    p = sub.add_parser("ingest", parents=[common, out_dir], help="build a frequency table from a labeled corpus")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--csv", help="labeled CSV file (header row required)")
     group.add_argument("--ssa-dir", help="directory of yobYYYY.txt files")
@@ -457,45 +454,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name-type", choices=("first", "full"), default="first")
     p.add_argument("--years", type=_parse_years, help="year range for --ssa-dir, e.g. 1937-1999")
     p.add_argument("--source-id", help="identifier recorded in the table header")
-    _common_flags(p)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("combine", help="merge first-name tables by adding counts")
+    p = sub.add_parser("combine", parents=[common, out_dir], help="merge first-name tables by adding counts")
     p.add_argument("tables", nargs="+", help="table files to merge")
     p.add_argument("--id", help="source id for the merged table")
     p.add_argument("--split-full", action="store_true", help="reduce full-name tables to first names")
-    _common_flags(p)
     p.set_defaults(func=cmd_combine)
 
-    p = sub.add_parser("stats", help="dataset statistics, uniqueness, and overlap")
+    p = sub.add_parser("stats", parents=[common, out_dir, fmt], help="dataset statistics, uniqueness, and overlap")
     p.add_argument("tables", nargs="+", help="table files")
     p.add_argument("--bins", type=_bins, default=None, help="also export ambiguity histograms of this many (>= 2) bins")
-    _common_flags(p)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("split", help="split a table into train table and test set")
+    p = sub.add_parser("split", parents=[common, out_dir], help="split a table into train table and test set")
     p.add_argument("table", help="table file")
     p.add_argument("--test-fraction", type=float, default=None)
-    _common_flags(p)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", help="train a thresholded frequency model")
+    p = sub.add_parser("train", parents=[common, out_dir], help="train a thresholded frequency model")
     p.add_argument("table", help="table file")
     p.add_argument("--tau", type=float, default=None, help="decision threshold")
     p.add_argument("--model-id", default=None)
-    _common_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="label names from a file or standard input")
+    p = sub.add_parser("infer", parents=[common, fmt], help="label names from a file or standard input")
     p.add_argument("names", help="file of names, one per line, or - for stdin")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--model", help="model file (shorthand for an mle: spec)")
     group.add_argument("--inferrer", help="inferrer spec [id=]kind:arg")
     p.add_argument("--out", help="write predictions to this file instead of stdout")
-    _common_flags(p)
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("eval", help="score inferrers against labeled test sets")
+    p = sub.add_parser("eval", parents=[common, out_dir, fmt], help="score inferrers against labeled test sets")
     p.add_argument("--test", action="append", required=True, help="test-set file (repeatable)")
     p.add_argument("--inferrer", action="append", required=True, help="inferrer spec (repeatable)")
     p.add_argument(
@@ -503,13 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="inferrer=dataset cell to mark NA (e.g. trained on that data)",
     )
-    _common_flags(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("analyze", help="error analysis exports for one inferrer")
+    p = sub.add_parser("analyze", parents=[common, out_dir], help="error analysis exports for one inferrer")
     p.add_argument("--test", required=True, help="test-set file")
     p.add_argument("--inferrer", required=True, help="inferrer spec")
-    _common_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     return parser

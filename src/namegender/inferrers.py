@@ -88,7 +88,7 @@ class MockInferrer(Inferrer):
         import json
         path = Path(path)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(path.read_text(encoding="utf-8-sig"))
             if not isinstance(raw, dict):
                 raise ValueError("expected an object mapping names to entries")
             predictions, by_value = {}, {label.value: label for label in GenderLabel}
@@ -226,7 +226,15 @@ class ExternalAdapterConfig(_AdapterFields):
             raise AdapterConfigError("backoff must be >= 0")
         if self.timeout <= 0:
             raise AdapterConfigError("timeout must be positive")
-        if "{name}" not in self.endpoint:
+        from string import Formatter
+
+        try:  # _fetch formats the template with name and credential only
+            slots = {(field, spec, conv) for _, field, spec, conv in Formatter().parse(self.endpoint) if field is not None}
+        except ValueError as exc:  # a stray brace
+            raise AdapterConfigError(f"bad endpoint template: {exc}") from None
+        if slots - {("name", "", None), ("credential", "", None)}:
+            raise AdapterConfigError(f"endpoint template may hold only {{name}} and {{credential}}, got {self.endpoint!r}")
+        if ("name", "", None) not in slots:
             raise AdapterConfigError("endpoint template must contain {name}")
         url = urlsplit(self.endpoint)  # a bad host raises ValueError, which parse_adapter_config names the file for
         if url.scheme not in ("http", "https") or not url.netloc:

@@ -11,6 +11,7 @@ import json
 import os
 import random
 import select
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -278,6 +279,16 @@ def test_infer_writes_one_line_per_non_blank_input_line(tmp_path, capsys, monkey
     rows = [line.split("\t")[:2] for line in from_file.split("\n")[1:-1]]
     assert rows == [["ann\x85a", "female"], ["bob\x0cby", "unknown"], ["cy\x1ed\u2028i", "unknown"],
                     ["ann\x85a", "female"], ["zed", "unknown"], ["kim", "unknown"]]  # strip trims \u2029
+
+
+def test_infer_names_file_skips_a_byte_order_mark(tmp_path, capsys):
+    model = tmp_path / "t.model.tsv"
+    save_model(train(FrequencyTable({"mary": GenderCounts(95, 5)}, NameType.FIRST, "t"), 0.9), model)
+    names = tmp_path / "names.txt"
+    names.write_text("\ufeffmary\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("infer", str(names), "--model", str(model)) == 0
+    assert capsys.readouterr().out == "name\tlabel\tp_female\tsource\nmary\tfemale\t0.950000\tmle:t\n"
 
 
 def test_infer_structured_output(tmp_path, capsys):
@@ -713,6 +724,16 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
+def test_readme_walkthrough_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line walkthrough", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("namegender ", 1)[1] for line in block.replace("\\\n", " ").splitlines()
+             if "namegender " in line and not line.startswith("#")]  # "echo mary | namegender infer -" too
+    assert len(lines) == 10
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line))
+
+
 def test_readme_config_examples_build(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = [block.split("\n", 1)[1] for block in readme.split("```")[1::2]]  # each fenced block's text
@@ -883,9 +904,11 @@ def test_unreachable_endpoint_fails_with_one_error_line(tmp_path, capsys, monkey
     conf = write_http_conf(tmp_path)
     monkeypatch.setattr("requests.Session", lambda: FakeSession(lambda url: requests.ConnectionError("refused")))
     monkeypatch.setattr("sys.stdin", io.StringIO("ana\n"))
-    argv = {"infer": ["infer", "-"], "eval": ["eval", "--test", str(testset)], "analyze": ["analyze", "--test", str(testset)]}
+    out_dir = ["--out-dir", str(tmp_path / "out")]
+    argv = {"infer": ["infer", "-"], "eval": ["eval", "--test", str(testset), *out_dir],
+            "analyze": ["analyze", "--test", str(testset), *out_dir]}
     capsys.readouterr()
-    assert run(*argv[command], "--inferrer", f"http:{conf}", "--out-dir", str(tmp_path / "out")) == 1
+    assert run(*argv[command], "--inferrer", f"http:{conf}") == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("namegender: error: svc: endpoint unreachable: ") and captured.err.count("\n") == 1
     assert captured.out == ""
@@ -1295,6 +1318,36 @@ def test_each_command_writes_its_diagnostics_to_stderr_as_level_message_lines(tm
 
 
 # --- reproducibility and config --------------------------------------------------------
+
+
+# each command's required arguments
+_MINIMAL_ARGV = {
+    "ingest": ["ingest", "--csv", "names.csv"],
+    "combine": ["combine", "t.table.tsv"],
+    "stats": ["stats", "t.table.tsv"],
+    "split": ["split", "t.table.tsv"],
+    "train": ["train", "t.table.tsv"],
+    "infer": ["infer", "-"],
+    "eval": ["eval", "--test", "d.test.tsv", "--inferrer", "mock:m.json"],
+    "analyze": ["analyze", "--test", "d.test.tsv", "--inferrer", "mock:m.json"],
+}
+
+
+@pytest.mark.parametrize("flag, value, takers", [
+    ("--out-dir", "o", {"ingest", "combine", "stats", "split", "train", "eval", "analyze"}),
+    ("--format", "structured", {"stats", "infer", "eval"}),
+])
+@pytest.mark.parametrize("command", _MINIMAL_ARGV)
+def test_a_command_takes_only_the_shared_flags_it_reads(capsys, command, flag, value, takers):
+    argv = [*_MINIMAL_ARGV[command], "--seed", "3", "--config", "c.conf", flag, value]
+    if command in takers:
+        args = cli.build_parser().parse_args(argv)
+        assert (args.seed, args.config, getattr(args, flag[2:].replace("-", "_"))) == (3, "c.conf", value)
+    else:
+        with pytest.raises(SystemExit) as exited:
+            run(*argv)
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
 
 def test_pipeline_outputs_byte_reproducible(corpus_csv, tmp_path):

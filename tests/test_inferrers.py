@@ -70,6 +70,12 @@ def test_mock_from_json(tmp_path):
     assert mock.infer("anna").label is GenderLabel.FEMALE
 
 
+def test_mock_from_json_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "preds.json"
+    path.write_text("\ufeff" + json.dumps({"anna": {"label": "female", "p_female": 0.9}}), encoding="utf-8")
+    assert MockInferrer.from_json(path).infer("anna") == Prediction(GenderLabel.FEMALE, 0.9, "preds")
+
+
 @pytest.mark.parametrize("entry, reason", [
     ({"p_female": 0.9}, "expected an object with a label"),
     ("female", "expected an object with a label"),
@@ -360,6 +366,10 @@ def test_parse_adapter_config_takes_the_spec_id_and_checks_the_config(tmp_path):
     ("endpoint", "ftp://e/{name}", "endpoint must be an http(s) URL with a host, got 'ftp://e/{name}'"),
     ("endpoint", "https:///v1?name={name}", "endpoint must be an http(s) URL with a host, got 'https:///v1?name={name}'"),
     ("endpoint", "https://[e/{name}", "Invalid IPv6 URL"),
+    ("endpoint", "https://e/{name}&k={key}", "endpoint template may hold only {name} and {credential}, got 'https://e/{name}&k={key}'"),
+    ("endpoint", "https://e/{}/{name}", "endpoint template may hold only {name} and {credential}, got 'https://e/{}/{name}'"),
+    ("endpoint", "https://e/{name}&k={", "bad endpoint template: Single '{' encountered in format string"),
+    ("endpoint", "https://e/}{name}", "bad endpoint template: Single '}' encountered in format string"),
     ("confidence_scale", "percentage", "bad confidence_scale 'percentage'"),
 ])
 def test_parse_adapter_config_checks_name_the_file(tmp_path, key, value, reason):
@@ -642,6 +652,29 @@ def test_adapter_refetches_a_stored_response_that_no_longer_maps(tmp_path):
     replay = FakeSession(lambda url: FakeResponse(500))
     assert HttpAdapter(strict, session=replay).infer("kim").label is GenderLabel.FEMALE
     assert replay.calls == []
+
+
+def test_adapter_follows_dotted_label_and_confidence_paths(tmp_path):
+    body = json.dumps({"results": [{"gender": "female", "probability": 0.8}]})
+    config = adapter_config(cache_dir=str(tmp_path), label_path="results.0.gender",
+                            confidence_path="results.0.probability", confidence_scale="unit")
+    assert HttpAdapter(config, session=FakeSession(lambda url: FakeResponse(200, body))).infer("anna") == \
+        Prediction(GenderLabel.FEMALE, 0.8, "svc")
+    assert stored(tmp_path) == {"anna": body}
+
+
+@pytest.mark.parametrize("label_path, response", [
+    ("results.0.gender", {"results": 5}),  # descends into a scalar
+    ("results.1.gender", {"results": [{"gender": "female"}]}),  # an index past the list's end
+    ("results.first.gender", {"results": [{"gender": "female"}]}),  # a non-integer segment into a list
+])
+def test_adapter_path_that_does_not_resolve_degrades_to_unknown(tmp_path, capsys, label_path, response):
+    config = adapter_config(cache_dir=str(tmp_path), label_path=label_path, confidence_path=None)
+    session = FakeSession(lambda url: FakeResponse(200, json.dumps(response)))
+    assert HttpAdapter(config, session=session).infer("anna") == Prediction(GenderLabel.UNKNOWN, None, "svc")
+    err = capsys.readouterr().err
+    assert err.startswith("WARNING svc: unusable response for 'anna': ") and err.count("\n") == 1
+    assert stored(tmp_path) == {}
 
 
 def test_adapter_stores_each_chunk_before_fetching_the_next(tmp_path, monkeypatch):
