@@ -77,23 +77,6 @@ _CONFIG_FILE_KEYS = {key: parse for attr, (parse, _) in _CONFIG_KEYS.items() for
 _Manifest = tuple[Path, Sequence[str | Path], Sequence[str | Path]]
 
 
-def _sha256(path: str | Path) -> str:
-    # CPython's own SHA-256: hashlib would load OpenSSL (about 3 MB of RSS) on top of the freed heap
-    try:
-        from _sha2 import sha256  # 3.12+
-    except ImportError:
-        try:
-            from _sha256 import sha256  # 3.10-3.11
-        except ImportError:  # a build without it (Fedora's, for one) hashes only through OpenSSL
-            from hashlib import sha256
-
-    digest = sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _timestamp(time_ns: int) -> str:
     """The UTC time time_ns nanoseconds after the epoch, as datetime's isoformat() writes it, without datetime's import."""
     seconds, micros = divmod(time_ns // 1000, 1_000_000)
@@ -106,7 +89,7 @@ def _write_manifest(args: argparse.Namespace, manifest: _Manifest) -> None:
     out_dir, inputs, configs = manifest
     if args.config:
         configs = [*configs, args.config]
-    digests = {p: _sha256(p) for p in dict.fromkeys(map(str, [*inputs, *configs]))}  # each distinct file hashed once
+    digests = {p: corpus.file_sha256(p) for p in dict.fromkeys(map(str, [*inputs, *configs]))}  # each distinct file hashed once
     document = {
         "command": list(args._argv),
         "seed": args.seed,

@@ -4,7 +4,7 @@ Reads labeled name corpora (generic CSV files and SSA-style yearly files),
 applies the cleaning rules, and accumulates per-name female/male occurrence
 counts into a FrequencyTable. Also provides table merging, dataset
 statistics, cross-dataset uniqueness/overlap analyses, a lossless
-tab-separated serialization, and the reader of `key = value` config files.
+tab-separated serialization, file digests, and the reader of `key = value` config files.
 
 Cleaning rules applied by normalize_name, in order:
   1. whitespace is trimmed and interior runs collapsed to single spaces,
@@ -391,9 +391,7 @@ def ingest_ssa_years(
 
 
 def merge_tables(tables: Sequence[FrequencyTable]) -> FrequencyTable:
-    """Merge first-name tables by component-wise count addition."""
-    if not tables:
-        raise ValueError("nothing to merge")
+    """Merge first-name tables by component-wise count addition; no tables merge to an empty table."""
     counts: dict[str, tuple[int, int]] = {}
     for table in tables:
         if table.name_type is not NameType.FIRST:
@@ -505,9 +503,7 @@ def pairwise_overlap(tables: Sequence[FrequencyTable]) -> list[list[tuple[int, f
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile of pre-sorted values, q in [0, 1]."""
-    if not sorted_values:
-        raise ValueError("no values")
+    """Linear-interpolation percentile of pre-sorted values (at least one), q in [0, 1]."""
     h = (len(sorted_values) - 1) * q
     lo = int(h)
     hi = min(lo + 1, len(sorted_values) - 1)
@@ -641,6 +637,23 @@ def _parse_counts(path: Path, line_no: int, rest: str) -> GenderCounts:
     if female < 0 or male < 0 or female + male < 1:
         raise TableParseError(path, line_no, f"bad counts ({female}, {male})")
     return GenderCounts(female, male)
+
+
+def file_sha256(path: str | Path) -> str:
+    """The file's SHA-256 in hex, by CPython's own SHA-256: hashlib would load OpenSSL (about 3 MB of RSS)."""
+    try:
+        from _sha2 import sha256  # 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # 3.10-3.11
+        except ImportError:  # a build without it (Fedora's, for one) hashes only through OpenSSL
+            from hashlib import sha256
+
+    digest = sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def read_table(path: str | Path) -> FrequencyTable:

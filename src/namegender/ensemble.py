@@ -53,11 +53,9 @@ class VotingInferrer(Inferrer):
     """Majority vote across exactly three inferrers."""
 
     def __init__(self, voters: Sequence[Inferrer], id: str = "vote") -> None:
-        if len(voters) != 3:
-            raise ValueError("voting requires exactly 3 voters")
         ids = [v.id for v in voters]
-        if len(set(ids)) != 3:
-            raise ValueError(f"voter ids must be distinct: {ids}")
+        if len(ids) != 3 or len(set(ids)) != 3:
+            raise ValueError(f"voting requires exactly 3 voters with distinct ids, got {ids}")
         super().__init__(id)
         self.voters = tuple(voters)
         self.tie_count = 0

@@ -143,9 +143,7 @@ class MleInferrer(Inferrer):
 class RateLimiter:
     """Spaces dispatches at least 1/rate seconds apart."""
 
-    def __init__(self, rate_per_second: float) -> None:
-        if rate_per_second <= 0:
-            raise ValueError("rate must be positive")
+    def __init__(self, rate_per_second: float) -> None:  # ExternalAdapterConfig refuses a rate that is not positive
         self._interval = 1.0 / rate_per_second
         self._next_slot = 0.0
 
@@ -159,12 +157,10 @@ class RateLimiter:
 
 
 def normalize_confidence(raw: object, scale: str) -> float:
-    """Coerce a reported confidence onto [0, 1]."""
+    """Coerce a reported confidence onto [0, 1]; scale is "unit" or "percent", as ExternalAdapterConfig checks."""
     value = float(raw)  # type: ignore[arg-type]
     if scale == "percent":
         value /= 100.0
-    elif scale != "unit":
-        raise ValueError(f"unknown confidence scale {scale!r}")
     return min(1.0, max(0.0, value))
 
 

@@ -9,6 +9,8 @@ is ambiguous at every tau.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -16,7 +18,9 @@ from typing import NamedTuple
 from .corpus import (
     FrequencyTable,
     GenderCounts,
+    NameType,
     TableParseError,
+    file_sha256,
     read_table_with_header,
     write_table,
 )
@@ -113,12 +117,32 @@ def save_model(model: MleModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> MleModel:
-    table, extras = read_table_with_header(path)
-    if "tau" not in extras:
-        raise TableParseError(path, 1, "model file lacks tau header field")
+    """Read a model file that save_model wrote; an accepted file's parse is kept in $XDG_CACHE_HOME/namegender by SHA-256."""
+    import marshal
+    entry = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache", "namegender", file_sha256(path))
+    try:  # an entry: (name_type, source_id, extras), the "\n"-joined names, array("I") indexes into pairs, pairs
+        (name_type, source_id, extras), names, index, pairs = marshal.loads(entry.read_bytes())
+        shared = [GenderCounts(*pair) for pair in pairs]
+        names = names.split("\n")  # frees the joined names before the dict is built
+        entries = dict(zip(names, map(shared.__getitem__, memoryview(index).cast("I")), strict=True))
+        table, parsed = FrequencyTable(entries, NameType(name_type), source_id), False
+    except (OSError, EOFError, ValueError, TypeError, KeyError, IndexError, AttributeError):  # no entry, or an unusable one
+        (table, extras), parsed = read_table_with_header(path), True
     try:
-        tau = float(extras["tau"])
-    except ValueError:
-        raise TableParseError(path, 1, f"bad tau value {extras['tau']!r}") from None
-    model_id = extras.get("model_id", _default_model_id(table.source_id))
-    return train(table, tau, model_id)
+        model = train(table, float(extras["tau"]), extras.get("model_id"))
+    except KeyError:
+        raise TableParseError(path, 1, "model file lacks tau header field") from None
+    except ValueError as exc:  # tau is no number or outside [0.5, 1.0], or the table is empty
+        raise TableParseError(path, 1, str(exc)) from None
+    if parsed:  # store an entry, unless the directory cannot be written or the file changed since it was hashed
+        with contextlib.suppress(OSError):
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            if os.access(entry.parent, os.W_OK) and file_sha256(path) == entry.name:
+                from array import array
+                ids = {counts: i for i, counts in enumerate(dict.fromkeys(table.entries.values()))}
+                index = array("I", map(ids.__getitem__, table.entries.values()))
+                fields = table.name_type.value, table.source_id, extras
+                temp = entry.with_name(f"{entry.name}.{os.getpid()}")
+                temp.write_bytes(marshal.dumps((fields, "\n".join(table.entries), index.tobytes(), [*map(tuple, ids)]), 2))
+                temp.replace(entry)
+    return model

@@ -73,6 +73,15 @@ def random_table(
     return FrequencyTable(entries, NameType.FIRST, source_id)
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _model_cache(tmp_path_factory):
+    """mle.load_model keeps its parses under $XDG_CACHE_HOME/namegender. For the session, this process and every
+    CLI or benchmark subprocess a test starts use a temporary directory there, never the user's own cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)

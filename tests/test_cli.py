@@ -23,7 +23,7 @@ import requests
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from namegender import cli
+from namegender import cli, corpus
 from namegender.corpus import FrequencyTable, GenderCounts, NameType, pairwise_overlap, read_table
 from namegender.ensemble import build_inferrers
 from namegender.inferrers import HttpAdapter, parse_adapter_config
@@ -527,7 +527,7 @@ def test_manifest_digest_is_the_files_sha256(size, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "data.bin")
         path.write_bytes(data)
-        assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+        assert corpus.file_sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 def test_manifest_digest_falls_back_to_hashlib_without_a_built_in_sha256(tmp_path):
@@ -537,8 +537,8 @@ def test_manifest_digest_falls_back_to_hashlib_without_a_built_in_sha256(tmp_pat
     script = (
         "import sys\n"
         "sys.modules['_sha2'] = sys.modules['_sha256'] = None  # so importing either raises ImportError\n"
-        "from namegender import cli\n"
-        f"print('hashlib' in sys.modules, cli._sha256({str(path)!r}), 'hashlib' in sys.modules)\n"
+        "from namegender import corpus\n"
+        f"print('hashlib' in sys.modules, corpus.file_sha256({str(path)!r}), 'hashlib' in sys.modules)\n"
     )
     assert fresh_interpreter(script).stdout.split() == ["False", hashlib.sha256(data).hexdigest(), "True"]
 
@@ -557,8 +557,8 @@ def test_manifest_hashes_a_file_listed_three_times_once(tmp_path, monkeypatch):
     table, config = tmp_path / "a.table.tsv", tmp_path / "run.conf"
     table.write_text("x\n", encoding="utf-8")
     config.write_text("seed = 1\n", encoding="utf-8")
-    hashed, sha256 = [], cli._sha256
-    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(str(path)) or sha256(path))
+    hashed, sha256 = [], corpus.file_sha256
+    monkeypatch.setattr(corpus, "file_sha256", lambda path: hashed.append(str(path)) or sha256(path))
     args = argparse.Namespace(_argv=["eval"], seed=1, command="eval", config=str(config))
     cli._write_manifest(args, (tmp_path, [table, str(table)], [Path(str(table)), config]))
     assert sorted(hashed) == sorted([str(table), str(config)])

@@ -1,16 +1,22 @@
 """Property tests: ingestion and batch inference match per-row and per-name
 references; scoring, error analysis and report rendering agree; table files,
 merges and full-to-first-name folds match the list-building code they
-replaced; the HTTP adapter degrades per name under injected faults, and its
-chunked store reads match one query per name; a `key = value` file reads
-back exactly its declared keys."""
+replaced; a cached model load equals the parse it kept, and an unusable,
+stale or unwritable cache falls back to the parse; the HTTP adapter degrades
+per name under injected faults, and its chunked store reads match one query
+per name; a `key = value` file reads back exactly its declared keys."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
+import marshal
+import os
+import random
 import sqlite3
 import sys
 import tempfile
@@ -59,7 +65,7 @@ from namegender.evaluation import (
     aggregate,
     score,
 )
-from namegender import inferrers
+from namegender import inferrers, mle
 from namegender.ensemble import TwoStageInferrer, majority_vote
 from namegender.inferrers import (
     AdapterUnreachableError,
@@ -68,7 +74,7 @@ from namegender.inferrers import (
     MleInferrer,
     MockInferrer,
 )
-from namegender.mle import GenderLabel, MleModel, Prediction, train
+from namegender.mle import GenderLabel, MleModel, Prediction, load_model, save_model, train
 
 from conftest import FakeResponse, FakeSession
 
@@ -618,6 +624,146 @@ def test_table_file_round_trip_is_lossless(table, extra):
         _list_join_write_table(table, old, extra)
         assert path.read_bytes() == old.read_bytes()
         assert read_table_with_header(path) == (table, extra)
+
+
+def _cache_entry(model_file: Path) -> Path:
+    """Where load_model keeps the parse of model_file."""
+    return Path(os.environ["XDG_CACHE_HOME"], "namegender", hashlib.sha256(model_file.read_bytes()).hexdigest())
+
+
+def _counted_load(path: Path) -> tuple[MleModel, int]:
+    """load_model(path), and how many times it parsed a table file."""
+    with mock.patch.object(mle, "read_table_with_header", wraps=read_table_with_header) as parse:
+        return load_model(path), parse.call_count
+
+
+def _same_model(loaded: MleModel, expected: MleModel) -> bool:
+    """Equal models with the same name order and one shared GenderCounts per distinct pair."""
+    entries = loaded.table.entries
+    return (loaded == expected and list(entries) == list(expected.table.entries)
+            and len(set(map(id, entries.values()))) == len(set(entries.values())))
+
+
+# Model file names: any text a table file can carry, which includes "", "\x85" and "\u2028"
+@settings(deadline=None)
+@given(tables(HEADER_TEXT).filter(lambda table: table.entries), st.floats(0.5, 1.0), st.one_of(st.none(), HEADER_TEXT),
+       st.dictionaries(HEADER_TEXT.filter(lambda k: "=" not in k and k not in ("name_type", "source_id", "tau", "model_id")),
+                       HEADER_TEXT, max_size=2))
+def test_a_cached_model_load_equals_the_parse_it_kept(table, tau, model_id, extra):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, XDG_CACHE_HOME=tmp):
+        path = Path(tmp, "m.model.tsv")
+        fields = {"tau": repr(tau), **({} if model_id is None else {"model_id": model_id}), **extra}
+        write_table(table, path, fields)
+        parsed, expected_extras = read_table_with_header(path)
+        expected = train(parsed, tau, model_id)
+        first, parses = _counted_load(path)
+        assert parses == 1 and _same_model(first, expected)
+        (name_type, source_id, extras), *_ = marshal.loads(_cache_entry(path).read_bytes())
+        assert (name_type, source_id, extras) == (table.name_type.value, table.source_id, expected_extras)
+        second, parses = _counted_load(path)
+        assert parses == 0 and _same_model(second, expected)
+
+
+@pytest.fixture
+def cache_home(tmp_path, monkeypatch) -> Path:
+    """A cache directory of the test's own, so the test sees every entry in it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache"
+
+
+def _saved_model(path: Path, female: int = 95) -> MleModel:
+    model = train(FrequencyTable({"ana": GenderCounts(female, 5), "bo": GenderCounts(1, 9), "cy": GenderCounts(1, 9)},
+                                 NameType.FIRST, "t"), 0.8)
+    save_model(model, path)
+    return model
+
+
+# An entry is ((name_type, source_id, extras), "\n"-joined names, array("I") bytes indexing pairs, pairs).
+_HEADER = ("first", "t", {"tau": "0.8"})
+
+
+@pytest.mark.parametrize("damage", [
+    lambda good: good[: len(good) // 2],
+    lambda good: b"",
+    lambda good: random.Random(0).randbytes(len(good)),
+    lambda good: marshal.dumps([1, 2, 3]),
+    lambda good: marshal.dumps(("a", "b", "c", "d")),
+    lambda good: marshal.dumps((_HEADER, "ana\nbo\ncy", b"\0\0\0\0\1\0\0\0\7\0\0\0", [(95, 5), (1, 9)])),
+    lambda good: marshal.dumps((_HEADER, "ana\nbo", b"\0\0\0\0\1\0\0\0\1\0\0\0", [(95, 5), (1, 9)])),
+    lambda good: marshal.dumps((_HEADER, "ana\nbo\ncy", b"\0\0\0\0\1\0\0", [(95, 5), (1, 9)])),
+    lambda good: marshal.dumps((("second", "t", {}), "ana\nbo\ncy", b"\0" * 12, [(95, 5)])),
+], ids=["truncated", "empty", "random-bytes", "list", "four-strings", "index-past-pairs", "fewer-names",
+        "ragged-index", "bad-name-type"])
+def test_an_unusable_cache_entry_is_parsed_again_and_rewritten(tmp_path, cache_home, damage):
+    path = tmp_path / "m.model.tsv"
+    model = _saved_model(path)
+    assert _same_model(_counted_load(path)[0], model)
+    entry = _cache_entry(path)
+    good = entry.read_bytes()
+    assert marshal.loads(good)[0] == _HEADER
+    entry.write_bytes(damage(good))
+    loaded, parses = _counted_load(path)
+    assert parses == 1 and _same_model(loaded, model)
+    assert entry.read_bytes() == good
+    assert sorted(entry.parent.iterdir()) == [entry]  # no temporary file is left behind
+
+
+@pytest.mark.parametrize("blocked", ["file-in-the-way", "read-only"])
+def test_a_cache_directory_that_cannot_be_written_costs_one_digest_and_leaves_loads_working(tmp_path, cache_home, blocked):
+    path = tmp_path / "m.model.tsv"
+    model = _saved_model(path)
+    with contextlib.ExitStack() as stack:
+        if blocked == "file-in-the-way":  # mkdir fails even as root
+            cache_home.write_text("not a directory\n", encoding="utf-8")
+        else:  # root may write anywhere, so the directory's refusal is simulated
+            stack.enter_context(mock.patch.object(os, "access", return_value=False))
+        digests = stack.enter_context(mock.patch.object(mle, "file_sha256", wraps=mle.file_sha256))
+        for loads in (1, 2):
+            assert _counted_load(path) == (model, 1)
+            assert digests.call_count == loads
+    assert not any(cache_home.glob("namegender/*"))
+
+
+def test_a_model_rewritten_in_place_is_never_answered_from_the_old_entry(tmp_path, cache_home):
+    path = tmp_path / "m.model.tsv"
+    old = _saved_model(path)
+    assert _counted_load(path) == (old, 1)
+    new = _saved_model(path, female=1)
+    assert _counted_load(path) == (new, 1)
+    assert load_model(path).classify("ana").label is GenderLabel.MALE
+    assert len(list((cache_home / "namegender").iterdir())) == 2
+
+
+def test_a_model_file_rewritten_during_its_parse_is_not_cached(tmp_path, cache_home):
+    path = tmp_path / "m.model.tsv"
+    old = _saved_model(path)
+
+    def parse_then_rewrite(model_file):
+        parsed = read_table_with_header(model_file)
+        _saved_model(path, female=1)
+        return parsed
+
+    with mock.patch.object(mle, "read_table_with_header", parse_then_rewrite):
+        assert load_model(path) == old
+    assert list(cache_home.rglob("*")) == [cache_home / "namegender"]  # no entry under either digest
+
+
+@pytest.mark.parametrize("text, error", [
+    ("# name_type=first\tsource_id=t\ttau=1.5\nana\t3\t1\n", "1: tau 1.5 outside [0.5, 1.0]"),
+    ("# name_type=first\tsource_id=t\ttau=nan\nana\t3\t1\n", "1: tau nan outside [0.5, 1.0]"),
+    ("# name_type=first\tsource_id=t\ttau=0.9\n", "1: cannot train on an empty table"),
+    ("# name_type=first\tsource_id=t\nana\t3\t1\n", "1: model file lacks tau header field"),
+    ("# name_type=first\tsource_id=t\ttau=x\nana\t3\t1\n", "1: could not convert string to float: 'x'"),
+    ("# name_type=first\tsource_id=t\ttau=0.9\nana\t3\t1\nana\t1\t1\n", "3: duplicate name 'ana'"),
+])
+def test_a_refused_model_file_is_named_in_the_error_and_writes_no_cache_entry(tmp_path, cache_home, text, error):
+    path = tmp_path / "m.model.tsv"
+    path.write_text(text, encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(TableParseError) as refused:
+            load_model(path)
+        assert str(refused.value) == f"{path}:{error}"
+    assert not cache_home.exists()
 
 
 @settings(deadline=None)
