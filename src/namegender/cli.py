@@ -153,7 +153,7 @@ def cmd_ingest(args: argparse.Namespace) -> _Manifest:
         if not args.years:
             raise ValueError("--ssa-dir requires --years")
         table, report = corpus.ingest_ssa_years(args.ssa_dir, args.years, source_id=args.source_id)
-        inputs = sorted(str(p) for p in (Path(args.ssa_dir) / f"yob{y}.txt" for y in args.years) if p.exists())
+        inputs = sorted(str(Path(args.ssa_dir) / f"yob{y}.txt") for y in args.years if y not in report.missing_years)
     out_dir = _out_dir(args.out_dir, args.command)
     corpus.write_table(table, out_dir / f"{table.source_id}.table.tsv")
     _write_ingest_report(report, out_dir / f"{table.source_id}.ingest-report.tsv")

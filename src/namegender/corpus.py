@@ -66,7 +66,6 @@ class TableParseError(ValueError):
 
     def __init__(self, path: str | Path, line_no: int, message: str) -> None:
         super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
         self.line_no = line_no
 
 

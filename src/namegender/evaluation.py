@@ -220,7 +220,6 @@ class ReportRow(NamedTuple):
     inferrer_id: str
     dataset_id: str
     size: int
-    counts: ConfusionCounts | None
     values: MetricValues | None  # None marks an NA cell, which is not scored
 
 
@@ -241,7 +240,7 @@ class MetricsReport:
             agg = MetricValues._make(
                 aggregate((r.values[i], r.size) for r in scored) for i in range(len(MetricValues._fields))
             )
-            for row in rows + [ReportRow(inferrer_id, "ALL", sum(r.size for r in scored), None, agg)]:
+            for row in rows + [ReportRow(inferrer_id, "ALL", sum(r.size for r in scored), agg)]:
                 yield {
                     "inferrer": row.inferrer_id,
                     "dataset": row.dataset_id,
@@ -301,11 +300,10 @@ def evaluate_run(
         excluded = skip.get(inferrer.id, set())
         for ts in sorted(testsets, key=lambda t: t.id):
             if ts.id in excluded:
-                rows.append(ReportRow(inferrer.id, ts.id, ts.size, None, None))
+                rows.append(ReportRow(inferrer.id, ts.id, ts.size, None))
                 continue
             predictions = inferrer.infer_batch([name for name, _ in ts.names])
-            counts = score(ts, predictions)
-            rows.append(ReportRow(inferrer.id, ts.id, ts.size, counts, metrics(counts)))
+            rows.append(ReportRow(inferrer.id, ts.id, ts.size, metrics(score(ts, predictions))))
     return MetricsReport(rows, [f"{inferrer.id}: {note}" for inferrer in inferrers for note in inferrer.notes])
 
 

@@ -54,6 +54,7 @@ class Inferrer(ABC):
 
     def __init__(self, id: str) -> None:
         self.id = id
+        self._unknown = Prediction(GenderLabel.UNKNOWN, None, id)  # every name the inferrer cannot label gets this one
 
     def infer_batch(self, names: Sequence[str]) -> list[Prediction]:
         """One prediction per input name, in input order."""
@@ -80,7 +81,6 @@ class MockInferrer(Inferrer):
                 self._predictions[name] = Prediction(label, p_female, id)
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"entry {name!r}: {exc}") from None
-        self._unknown = Prediction(GenderLabel.UNKNOWN, None, id)
 
     @classmethod
     def from_json(cls, path: str | Path, id: str | None = None) -> "MockInferrer":
@@ -121,7 +121,6 @@ class MleInferrer(Inferrer):
     def __init__(self, model: MleModel, id: str | None = None) -> None:
         super().__init__(id if id is not None else model.model_id)
         self.model = model
-        self._unknown = Prediction(GenderLabel.UNKNOWN, None, self.id)
         self._by_counts: dict[GenderCounts, Prediction] = {}
         self._by_answer: dict[tuple[GenderLabel, float], Prediction] = {}
 
@@ -411,5 +410,4 @@ class HttpAdapter(Inferrer):
                         mapped.append((name, text))
                 with db:
                     db.executemany("INSERT OR REPLACE INTO responses VALUES (?, ?)", mapped)
-        unknown = Prediction(GenderLabel.UNKNOWN, None, self.id)
-        return [answers[name] or unknown for name in names]
+        return [answers[name] or self._unknown for name in names]

@@ -119,9 +119,10 @@ def save_model(model: MleModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> MleModel:
     """Read a model file that save_model wrote; an accepted file's parse is kept in $XDG_CACHE_HOME/namegender by SHA-256."""
     import marshal
-    entry = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache", "namegender", file_sha256(path))
+    cache = os.environ.get("XDG_CACHE_HOME", "")  # XDG ignores a relative value; with no home known, "~" stays relative
+    entry = Path(cache if os.path.isabs(cache) else os.path.expanduser("~/.cache"), "namegender", file_sha256(path))
     try:  # an entry: (name_type, source_id, extras), the "\n"-joined names, array("I") indexes into pairs, pairs
-        (name_type, source_id, extras), names, index, pairs = marshal.loads(entry.read_bytes())
+        (name_type, source_id, extras), names, index, pairs = marshal.loads(entry.read_bytes() if entry.is_absolute() else b"")
         shared = [GenderCounts(*pair) for pair in pairs]
         names = names.split("\n")  # frees the joined names before the dict is built
         entries = dict(zip(names, map(shared.__getitem__, memoryview(index).cast("I")), strict=True))
@@ -134,7 +135,7 @@ def load_model(path: str | Path) -> MleModel:
         raise TableParseError(path, 1, "model file lacks tau header field") from None
     except ValueError as exc:  # tau is no number or outside [0.5, 1.0], or the table is empty
         raise TableParseError(path, 1, str(exc)) from None
-    if parsed:  # store an entry, unless the directory cannot be written or the file changed since it was hashed
+    if parsed and entry.is_absolute():  # store it, unless its directory cannot be written or the file changed since hashed
         with contextlib.suppress(OSError):
             entry.parent.mkdir(parents=True, exist_ok=True)
             if os.access(entry.parent, os.W_OK) and file_sha256(path) == entry.name:
@@ -143,6 +144,9 @@ def load_model(path: str | Path) -> MleModel:
                 index = array("I", map(ids.__getitem__, table.entries.values()))
                 fields = table.name_type.value, table.source_id, extras
                 temp = entry.with_name(f"{entry.name}.{os.getpid()}")
-                temp.write_bytes(marshal.dumps((fields, "\n".join(table.entries), index.tobytes(), [*map(tuple, ids)]), 2))
-                temp.replace(entry)
+                try:
+                    temp.write_bytes(marshal.dumps((fields, "\n".join(table.entries), index.tobytes(), [*map(tuple, ids)]), 2))
+                    temp.replace(entry)
+                finally:  # a failed write or replace leaves no temporary file
+                    temp.unlink(missing_ok=True)
     return model

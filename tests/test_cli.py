@@ -114,6 +114,25 @@ def test_ingest_ssa_directory_ignores_stray_files(tmp_path):
     assert list(manifest["input_digests"]) == [str(ssa / "yob1990.txt"), str(ssa / "yob1991.txt")]
 
 
+def test_ingest_manifest_lists_only_the_year_files_the_ingest_read(tmp_path, monkeypatch):
+    ssa = tmp_path / "ssa"
+    ssa.mkdir()
+    (ssa / "yob1990.txt").write_text("Mary,F,1\n", encoding="utf-8")
+    ingest = corpus.ingest_ssa_years
+
+    def ingest_then_add_1991(*args, **kwargs):
+        done = ingest(*args, **kwargs)
+        (ssa / "yob1991.txt").write_text("John,M,1\n", encoding="utf-8")  # after the ingest found it missing
+        return done
+
+    monkeypatch.setattr(corpus, "ingest_ssa_years", ingest_then_add_1991)
+    out = tmp_path / "out"
+    assert run("ingest", "--ssa-dir", str(ssa), "--years", "1990-1991", "--out-dir", str(out)) == 0
+    assert "missing_year\t1991\n" in (out / "ssa1990-1991.ingest-report.tsv").read_text(encoding="utf-8")
+    manifest = json.loads((out / "ingest.manifest.json").read_text(encoding="utf-8"))
+    assert list(manifest["input_digests"]) == [str(ssa / "yob1990.txt")]
+
+
 @pytest.mark.parametrize("years", ["19x0", "1990-", "1991-1990"])
 def test_ingest_refuses_a_bad_year_range_as_a_usage_error(tmp_path, capsys, years):
     with pytest.raises(SystemExit) as exit:
@@ -515,6 +534,27 @@ def test_one_name_infer_imports_neither_manifest_modules_nor_dataclasses(tmp_pat
     manifest = json.loads((tmp_path / "out" / "infer.manifest.json").read_text(encoding="utf-8"))
     digests = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (names, model)}
     assert {**manifest["input_digests"], **manifest["config_digests"]} == digests
+
+
+def test_infer_without_a_home_directory_answers_and_keeps_no_cache(tmp_path):
+    model, names, work = tmp_path / "t.model.tsv", tmp_path / "names.txt", tmp_path / "work"
+    save_model(train(FrequencyTable({"mary": GenderCounts(95, 5)}, NameType.FIRST, "t"), 0.9), model)
+    names.write_text("mary\n", encoding="utf-8")
+    work.mkdir()
+    script = (
+        "import os, pwd\n"
+        "os.environ.pop('HOME', None)\n"
+        "os.environ.pop('XDG_CACHE_HOME', None)\n"
+        "def no_entry(uid):\n"
+        "    raise KeyError(uid)\n"
+        "pwd.getpwuid = no_entry\n"
+        "from namegender.cli import main\n"
+        f"argv = ['infer', {str(names)!r}, '--model', {str(model)!r}]\n"
+        "raise SystemExit(main(argv) or main(argv))\n"  # the second load finds no entry either
+    )
+    done = fresh_interpreter(script, cwd=work)
+    assert done.stdout.splitlines()[1::2] == ["mary\tfemale\t0.950000\tmle:t"] * 2
+    assert list(work.iterdir()) == []
 
 
 @settings(deadline=None, max_examples=30)

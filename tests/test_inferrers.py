@@ -155,6 +155,13 @@ def test_adapter_reads_a_cached_name_once_per_batch(tmp_path, monkeypatch):
     assert replay.calls == []
 
 
+def test_adapter_answers_the_unknown_names_of_every_batch_with_one_prediction(tmp_path):
+    adapter = HttpAdapter(adapter_config(cache_dir=str(tmp_path)), session=FakeSession(lambda url: FakeResponse(404)))
+    first, second = adapter.infer_batch(["ana", "bo"]), adapter.infer_batch(["cy"])
+    assert first[0] == Prediction(GenderLabel.UNKNOWN, None, "svc")
+    assert len({id(pred) for pred in first + second}) == 1
+
+
 def counting_sessions(monkeypatch) -> list[FakeSession]:
     """Make requests.Session build answering fakes; the returned list holds each one built."""
     constructed = []

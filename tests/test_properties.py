@@ -56,7 +56,6 @@ from namegender.corpus import (
     write_table,
 )
 from namegender.evaluation import (
-    ConfusionCounts,
     LabeledTestSet,
     MetricsReport,
     MetricValues,
@@ -279,9 +278,9 @@ METRIC = st.one_of(st.none(), st.floats(-100.0, 100.0))
 def report_rows(draw) -> ReportRow:
     inferrer_id, dataset_id, size = draw(IDS), draw(IDS), draw(st.integers(1, 500))
     if draw(st.booleans()):
-        return ReportRow(inferrer_id, dataset_id, size, None, None)
+        return ReportRow(inferrer_id, dataset_id, size, None)
     values = MetricValues(*(draw(METRIC) for _ in range(5)))
-    return ReportRow(inferrer_id, dataset_id, size, ConfusionCounts(), values)
+    return ReportRow(inferrer_id, dataset_id, size, values)
 
 
 def _record_cells(record: dict[str, object]) -> list[str]:
@@ -722,6 +721,31 @@ def test_a_cache_directory_that_cannot_be_written_costs_one_digest_and_leaves_lo
             assert _counted_load(path) == (model, 1)
             assert digests.call_count == loads
     assert not any(cache_home.glob("namegender/*"))
+
+
+def test_a_failed_cache_store_leaves_no_temporary_file(tmp_path, cache_home):
+    path = tmp_path / "m.model.tsv"
+    model = _saved_model(path)
+    entry = _cache_entry(path)
+    entry.mkdir(parents=True)  # neither read as an entry nor replaced by one
+    for _ in range(2):
+        assert _counted_load(path) == (model, 1)
+    assert sorted(entry.parent.iterdir()) == [entry]
+
+
+def test_a_relative_xdg_cache_home_is_ignored_for_the_home_cache(tmp_path, monkeypatch):
+    work, home = tmp_path / "work", tmp_path / "home"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+    path = tmp_path / "m.model.tsv"
+    model = _saved_model(path)
+    assert _counted_load(path) == (model, 1)
+    assert _counted_load(path) == (model, 0)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert [p for p in home.rglob("*") if p.is_file()] == [home / ".cache" / "namegender" / digest]
+    assert list(work.iterdir()) == []
 
 
 def test_a_model_rewritten_in_place_is_never_answered_from_the_old_entry(tmp_path, cache_home):
