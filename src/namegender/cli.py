@@ -140,14 +140,8 @@ def cmd_ingest(args: argparse.Namespace) -> _Manifest:
     if args.csv:
         if not args.name_col or not args.gender_col:
             raise ValueError("--csv requires --name-col and --gender-col")
-        table, report = corpus.ingest_labeled_csv(
-            args.csv,
-            args.name_col,
-            args.gender_col,
-            args.count_col,
-            name_type=NameType(args.name_type),
-            source_id=args.source_id,
-        )
+        table, report = corpus.ingest_labeled_csv(args.csv, args.name_col, args.gender_col, args.count_col,
+                                                  name_type=NameType(args.name_type), source_id=args.source_id)
         inputs = [args.csv]
     else:
         if not args.years:
@@ -472,11 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common, out_dir, fmt], help="score inferrers against labeled test sets")
     p.add_argument("--test", action="append", required=True, help="test-set file (repeatable)")
     p.add_argument("--inferrer", action="append", required=True, help="inferrer spec (repeatable)")
-    p.add_argument(
-        "--na",
-        action="append",
-        help="inferrer=dataset cell to mark NA (e.g. trained on that data)",
-    )
+    p.add_argument("--na", action="append", help="inferrer=dataset cell to mark NA (e.g. trained on that data)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", parents=[common, out_dir], help="error analysis exports for one inferrer")

@@ -99,10 +99,15 @@ class FrequencyTable:
         self.source_id = source_id
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is FrequencyTable and vars(self) == vars(other)
+        return isinstance(other, FrequencyTable) and (self.entries, self.name_type, self.source_id) == (
+            other.entries, other.name_type, other.source_id)
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def lookup(self, names: Sequence[str]) -> Iterable[GenderCounts | None]:
+        """Each name's counts, in order; None for a name the table lacks."""
+        return map(self.entries.get, names)
 
 
 class IngestReport:
@@ -191,9 +196,7 @@ def split_full_name(full: str) -> tuple[str, str]:
     tokens = full.split()
     if not tokens:
         raise ValueError("cannot split an empty full name")
-    first = tokens[0]
-    last = tokens[-1] if len(tokens) > 1 else ""
-    return first, last
+    return tokens[0], tokens[-1] if len(tokens) > 1 else ""
 
 
 def _shared_counts(counts: dict) -> dict[str, GenderCounts]:
@@ -394,9 +397,7 @@ def merge_tables(tables: Sequence[FrequencyTable]) -> FrequencyTable:
     counts: dict[str, tuple[int, int]] = {}
     for table in tables:
         if table.name_type is not NameType.FIRST:
-            raise ValueError(
-                f"merge requires first-name tables; {table.source_id!r} is {table.name_type.value}"
-            )
+            raise ValueError(f"merge requires first-name tables; {table.source_id!r} is {table.name_type.value}")
         for name, gc in table.entries.items():
             female, male = counts.get(name, (0, 0))
             counts[name] = (female + gc.female, male + gc.male)
@@ -452,13 +453,7 @@ def dataset_stats(table: FrequencyTable) -> DatasetStats:
                 lasts.add(last)
         unique_first, unique_last = len(firsts), len(lasts)
     ambiguous = sum(1 for gc in table.entries.values() if gc.is_ambiguous)
-    return DatasetStats(
-        total_names=total,
-        unique_names=unique,
-        unique_first=unique_first,
-        unique_last=unique_last,
-        ambiguous=ambiguous,
-    )
+    return DatasetStats(total, unique, unique_first, unique_last, ambiguous)
 
 
 def cross_dataset_uniqueness(tables: Sequence[FrequencyTable]) -> list[tuple[int, float]]:
@@ -517,9 +512,7 @@ def ambiguity_histogram(table: FrequencyTable, bin_count: int) -> AmbiguityHisto
     """
     if bin_count < 2:
         raise ValueError("bin_count must be >= 2")
-    values = sorted(
-        gc.female / gc.total for gc in table.entries.values() if gc.is_ambiguous
-    )
+    values = sorted(gc.female / gc.total for gc in table.entries.values() if gc.is_ambiguous)
     if not values:
         raise ValueError(f"{table.source_id}: no ambiguous names")
     bins = [0] * bin_count
@@ -528,14 +521,7 @@ def ambiguity_histogram(table: FrequencyTable, bin_count: int) -> AmbiguityHisto
     total = len(values)
     edges = tuple(i / bin_count for i in range(bin_count + 1))
     percentages = tuple(100.0 * b / total for b in bins)
-    return AmbiguityHistogram(
-        bin_edges=edges,
-        percentages=percentages,
-        p25=_percentile(values, 0.25),
-        p50=_percentile(values, 0.50),
-        p75=_percentile(values, 0.75),
-        count=total,
-    )
+    return AmbiguityHistogram(edges, percentages, *(_percentile(values, q) for q in (0.25, 0.50, 0.75)), total)
 
 
 # --- serialization -----------------------------------------------------------

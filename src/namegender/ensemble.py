@@ -38,15 +38,12 @@ def majority_vote(predictions: Sequence[Prediction], source: str = "vote") -> Pr
         raise ValueError(f"majority_vote takes exactly 3 predictions, got {len(predictions)}")
     female = [p for p in predictions if p.label is GenderLabel.FEMALE]
     male = [p for p in predictions if p.label is GenderLabel.MALE]
-    if len(female) > len(male):
-        winners, label = female, GenderLabel.FEMALE
-    elif len(male) > len(female):
-        winners, label = male, GenderLabel.MALE
-    else:
+    if len(female) == len(male):
         return Prediction(GenderLabel.UNKNOWN, None, source)
+    winners = max(female, male, key=len)
     # fsum keeps the mean identical under any ordering of the voters
     p_female = math.fsum(p.p_female for p in winners) / len(winners)  # type: ignore[misc]
-    return Prediction(label, p_female, source)
+    return Prediction(winners[0].label, p_female, source)
 
 
 class VotingInferrer(Inferrer):
@@ -69,9 +66,9 @@ class VotingInferrer(Inferrer):
         out = []
         for votes in zip(*ballots):
             pred = majority_vote(votes, source=self.id)
-            # an unknown outcome despite a definite ballot is a tie
-            if pred.label is GenderLabel.UNKNOWN and any(v.label in (GenderLabel.FEMALE, GenderLabel.MALE) for v in votes):
-                self.tie_count += 1
+            if pred.label is GenderLabel.UNKNOWN:  # undecided, and a tie if any ballot was definite
+                self.tie_count += any(v.label in (GenderLabel.FEMALE, GenderLabel.MALE) for v in votes)
+                pred = self._unknown
             out.append(pred)
         return out
 

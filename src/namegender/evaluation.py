@@ -93,11 +93,7 @@ def split_dataset(table: FrequencyTable, test_fraction: float, seed: int) -> Spl
     if not pairs:
         raise SplitDegenerateError("every sampled test name has tied counts")
 
-    train = FrequencyTable(
-        {name: table.entries[name] for name in sorted(train_names)},
-        table.name_type,
-        f"{table.source_id}-train",
-    )
+    train = FrequencyTable({n: table.entries[n] for n in sorted(train_names)}, table.name_type, f"{table.source_id}-train")
     test = LabeledTestSet(table.source_id, tuple(pairs))
     return SplitResult(train=train, test=test, ties=tuple(ties))
 
@@ -122,13 +118,7 @@ class ConfusionCounts(NamedTuple):
 
     @property
     def total(self) -> int:
-        return (
-            self.true_female
-            + self.true_male
-            + self.false_female
-            + self.false_male
-            + self.undecided
-        )
+        return self.true_female + self.true_male + self.false_female + self.false_male + self.undecided
 
 
 class RateType(Enum):

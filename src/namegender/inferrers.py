@@ -125,10 +125,9 @@ class MleInferrer(Inferrer):
         self._by_answer: dict[tuple[GenderLabel, float], Prediction] = {}
 
     def _infer_chunk(self, names: Sequence[str]) -> list[Prediction]:
-        entries, by_counts, by_answer, unknown = self.model.table.entries, self._by_counts, self._by_answer, self._unknown
+        by_counts, by_answer, unknown = self._by_counts, self._by_answer, self._unknown
         out = []
-        for name in names:
-            counts = entries.get(name)
+        for counts in self.model.table.lookup(names):
             pred = unknown if counts is None else by_counts.get(counts)
             if pred is None:
                 answer = self.model.answer(counts)

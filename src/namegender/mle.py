@@ -13,19 +13,15 @@ import contextlib
 import os
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from threading import Lock
+from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import (
-    FrequencyTable,
-    GenderCounts,
-    NameType,
-    TableParseError,
-    file_sha256,
-    read_table_with_header,
-    write_table,
-)
+from .corpus import FrequencyTable, GenderCounts, NameType, TableParseError, file_sha256, read_table_with_header, write_table
 
 DEFAULT_TAU = 0.90
+# Names a cached model's table searches for over its life before it builds its dict: on any model a search
+# costs about 1/20 of the build, as both are linear in the model's size
+_SEARCHES = 8
 
 
 class GenderLabel(Enum):
@@ -76,7 +72,7 @@ class MleModel(NamedTuple):
 
     def classify(self, name: str) -> Prediction:
         """Threshold the name's p(female); absent names are unknown."""
-        counts = self.table.entries.get(name)
+        [counts] = self.table.lookup([name])
         if counts is None:
             return Prediction(GenderLabel.UNKNOWN, None, self.model_id)
         return Prediction(*self.answer(counts), self.model_id)
@@ -96,7 +92,7 @@ def _default_model_id(source_id: str) -> str:
 
 
 def train(table: FrequencyTable, tau: float = DEFAULT_TAU, model_id: str | None = None) -> MleModel:
-    if not table.entries:
+    if not table:
         raise ValueError("cannot train on an empty table")
     if not 0.5 <= tau <= 1.0:
         raise ValueError(f"tau {tau} outside [0.5, 1.0]")
@@ -116,6 +112,50 @@ def save_model(model: MleModel, path: str | Path) -> None:
     write_table(model.table, path, extra_header=extra)
 
 
+class _CachedTable(FrequencyTable):
+    """A cache entry's table. Until entries is first read, a name is found in the entry's "\n"-joined names,
+    and the number of names before it indexes its counts; the table searches at most _SEARCHES names in its life."""
+
+    def __init__(self, names: str, index: memoryview, shared: list[GenderCounts], name_type: NameType, source_id: str):
+        if str.count(names, "\n") + 1 != len(index) or max(index) >= len(shared):
+            raise ValueError("cache entry's names, indexes and pairs do not match")
+        self._parts, self._size, self._searches, self._lock = (names, index, shared), len(index), 0, Lock()
+        self.name_type, self.source_id = name_type, source_id
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getattr__(self, attr: str) -> dict[str, GenderCounts]:
+        if attr != "entries":
+            raise AttributeError(attr)
+        with self._lock:  # one thread builds entries; another that reads them meanwhile waits for them
+            if "entries" not in vars(self):
+                names, index, shared = self.__dict__.pop("_parts")
+                names = names.split("\n")  # frees the joined names before the dict is built
+                self.entries = dict(zip(names, map(shared.__getitem__, index)))
+        return self.entries
+
+    def lookup(self, names: Sequence[str]) -> Iterable[GenderCounts | None]:
+        self._searches += len(names)
+        parts = vars(self).get("_parts") if self._searches <= _SEARCHES else None
+        if parts is None:  # past the limit, or built: the dict answers, and no part of the entry is held here
+            return super().lookup(names)
+        text, index, shared = parts
+        return [None if at < 0 else shared[index[at]] for at in (_place(text, name) for name in names)]
+
+
+def _place(text: str, name: str) -> int:
+    """The place of name among the "\n"-joined names in text, or -1 where it is none of them."""
+    if "\n" in name:
+        return -1
+    if text == name or text.startswith(name + "\n"):
+        return 0
+    at = text.find(f"\n{name}\n")
+    if at < 0:
+        return text.count("\n") if text.endswith("\n" + name) else -1
+    return text.count("\n", 0, at) + 1
+
+
 def load_model(path: str | Path) -> MleModel:
     """Read a model file that save_model wrote; an accepted file's parse is kept in $XDG_CACHE_HOME/namegender by SHA-256."""
     import marshal
@@ -124,9 +164,7 @@ def load_model(path: str | Path) -> MleModel:
     try:  # an entry: (name_type, source_id, extras), the "\n"-joined names, array("I") indexes into pairs, pairs
         (name_type, source_id, extras), names, index, pairs = marshal.loads(entry.read_bytes() if entry.is_absolute() else b"")
         shared = [GenderCounts(*pair) for pair in pairs]
-        names = names.split("\n")  # frees the joined names before the dict is built
-        entries = dict(zip(names, map(shared.__getitem__, memoryview(index).cast("I")), strict=True))
-        table, parsed = FrequencyTable(entries, NameType(name_type), source_id), False
+        table, parsed = _CachedTable(names, memoryview(index).cast("I"), shared, NameType(name_type), source_id), False
     except (OSError, EOFError, ValueError, TypeError, KeyError, IndexError, AttributeError):  # no entry, or an unusable one
         (table, extras), parsed = read_table_with_header(path), True
     try:

@@ -124,6 +124,25 @@ def test_voting_inferrer_counts_no_tie_without_a_definite_ballot():
     assert voting.tie_count == 0
 
 
+def test_voting_inferrer_answers_every_undecided_name_with_its_one_unknown():
+    voters = (
+        MockInferrer("v1", {"pat": (F, 0.9), "sam": (F, 0.6), "ana": (F, 0.8)}),
+        MockInferrer("v2", {"pat": (M, 0.1), "sam": (A, 0.5), "ana": (F, 0.7)}),
+        MockInferrer("v3", {"sam": (M, 0.2)}),
+    )
+    voting = VotingInferrer(voters)
+    preds = voting.infer_batch(["pat", "lee", "ana", "sam"])
+    assert preds[0] is preds[1] is preds[3] == P(U, None, "vote") and preds[2] == P(F, 0.75, "vote")
+    assert voting.tie_count == 2
+    testset = LabeledTestSet("t", (("pat", F), ("lee", M), ("ana", F), ("sam", M)))
+    assert evaluate_run([testset], [VotingInferrer(voters)]).to_text() == (
+        "Inferrer  Dataset  Size  Accuracy  Precision  Recall  F1     GBE \n"
+        "vote      t        4     25.00     100.00     50.00   66.67  0.00\n"
+        "vote      ALL      4     25.00     100.00     50.00   66.67  0.00\n"
+        "note: vote: vote ties = 2\n"
+    )
+
+
 def test_voting_inferrer_tags_source():
     voters = (
         MockInferrer("v1", {"ana": (F, 1.0)}),

@@ -1,8 +1,9 @@
 """Property tests: ingestion and batch inference match per-row and per-name
 references; scoring, error analysis and report rendering agree; table files,
 merges and full-to-first-name folds match the list-building code they
-replaced; a cached model load equals the parse it kept, and an unusable,
-stale or unwritable cache falls back to the parse; the HTTP adapter degrades
+replaced; a cached model load equals the parse it kept, one-name batches
+searched in its entry answer as that parse, and an unusable, stale or
+unwritable cache falls back to the parse; the HTTP adapter degrades
 per name under injected faults, and its chunked store reads match one query
 per name; a `key = value` file reads back exactly its declared keys."""
 
@@ -21,6 +22,7 @@ import sqlite3
 import sys
 import tempfile
 import unicodedata
+from array import array
 from collections import defaultdict
 from contextlib import closing, redirect_stderr
 from pathlib import Path
@@ -643,16 +645,25 @@ def _same_model(loaded: MleModel, expected: MleModel) -> bool:
             and len(set(map(id, entries.values()))) == len(set(entries.values())))
 
 
-# Model file names: any text a table file can carry, which includes "", "\x85" and "\u2028"
+# A model file's table, tau, model_id and extra header fields. Its names are any text a table file can carry,
+# which includes "", "\x85" and "\u2028".
+MODEL_FILES = (
+    tables(HEADER_TEXT).filter(lambda table: table.entries), st.floats(0.5, 1.0), st.one_of(st.none(), HEADER_TEXT),
+    st.dictionaries(HEADER_TEXT.filter(lambda k: "=" not in k and k not in ("name_type", "source_id", "tau", "model_id")),
+                    HEADER_TEXT, max_size=2),
+)
+
+
+def _write_model_file(path: Path, table: FrequencyTable, tau: float, model_id: str | None, extra: dict) -> None:
+    write_table(table, path, {"tau": repr(tau), **({} if model_id is None else {"model_id": model_id}), **extra})
+
+
 @settings(deadline=None)
-@given(tables(HEADER_TEXT).filter(lambda table: table.entries), st.floats(0.5, 1.0), st.one_of(st.none(), HEADER_TEXT),
-       st.dictionaries(HEADER_TEXT.filter(lambda k: "=" not in k and k not in ("name_type", "source_id", "tau", "model_id")),
-                       HEADER_TEXT, max_size=2))
+@given(*MODEL_FILES)
 def test_a_cached_model_load_equals_the_parse_it_kept(table, tau, model_id, extra):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, XDG_CACHE_HOME=tmp):
         path = Path(tmp, "m.model.tsv")
-        fields = {"tau": repr(tau), **({} if model_id is None else {"model_id": model_id}), **extra}
-        write_table(table, path, fields)
+        _write_model_file(path, table, tau, model_id, extra)
         parsed, expected_extras = read_table_with_header(path)
         expected = train(parsed, tau, model_id)
         first, parses = _counted_load(path)
@@ -661,6 +672,27 @@ def test_a_cached_model_load_equals_the_parse_it_kept(table, tau, model_id, extr
         assert (name_type, source_id, extras) == (table.name_type.value, table.source_id, expected_extras)
         second, parses = _counted_load(path)
         assert parses == 0 and _same_model(second, expected)
+
+
+# Names a cached table's search must tell apart: two keys joined by "\n" match "\n"-joined names, and a
+# key with a tab or line break added, or "", is near a key
+@settings(deadline=None)
+@given(*MODEL_FILES, st.lists(st.text(max_size=4), max_size=3))
+def test_one_name_batches_on_a_cached_model_answer_as_the_parse_of_its_file(table, tau, model_id, extra, others):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, XDG_CACHE_HOME=tmp):
+        path = Path(tmp, "m.model.tsv")
+        _write_model_file(path, table, tau, model_id, extra)
+        parsed, parses = _counted_load(path)  # and keeps the entry
+        assert parses == 1
+        expected, keys = MleInferrer(parsed), list(parsed.table.entries)
+        names = [*keys, "\n".join(keys[:2]), "\n".join(keys[-2:]), "", "\n", "\t", "\r", f"{keys[0]}\t", f"\r{keys[-1]}",
+                 f"{keys[0]}\n", f"\n{keys[-1]}", *others]
+        for start in range(0, len(names), mle._SEARCHES):  # a new load per _SEARCHES names, so each name is searched
+            cached, parses = _counted_load(path)
+            inferrer = MleInferrer(cached)
+            for name in names[start : start + mle._SEARCHES]:
+                assert inferrer.infer_batch([name]) == expected.infer_batch([name]), name
+            assert parses == 0 and "entries" not in vars(cached.table)
 
 
 @pytest.fixture
@@ -746,6 +778,68 @@ def test_a_relative_xdg_cache_home_is_ignored_for_the_home_cache(tmp_path, monke
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert [p for p in home.rglob("*") if p.is_file()] == [home / ".cache" / "namegender" / digest]
     assert list(work.iterdir()) == []
+
+
+def test_the_cache_entry_layout_is_pinned_and_an_entry_in_it_is_a_hit(tmp_path, cache_home):
+    path = tmp_path / "m.model.tsv"
+    model = _saved_model(path)
+    assert _counted_load(path) == (model, 1)
+    pairs = [(95, 5), (1, 9)]
+    assert _cache_entry(path).read_bytes() == marshal.dumps((_HEADER, "ana\nbo\ncy", array("I", [0, 1, 1]).tobytes(), pairs), 2)
+    _cache_entry(path).write_bytes(marshal.dumps((_HEADER, "cy\nana\nbo", array("I", [1, 0, 1]).tobytes(), pairs), 2))
+    assert _counted_load(path) == (model, 0)
+
+
+def test_an_entry_whose_names_are_not_one_text_is_parsed_again_and_rewritten(tmp_path, cache_home):
+    path = tmp_path / "m.model.tsv"
+    model = _saved_model(path)
+    load_model(path)
+    good = _cache_entry(path).read_bytes()
+    _cache_entry(path).write_bytes(marshal.dumps((_HEADER, ["ana", "\n", "\n"], array("I", [0, 1, 1]).tobytes(), [(95, 5), (1, 9)])))
+    assert _counted_load(path) == (model, 1) and _cache_entry(path).read_bytes() == good
+
+
+@pytest.fixture
+def entries_builds(monkeypatch) -> list[str]:
+    """One item per time a cached table builds its entries dict."""
+    builds: list[str] = []
+    build = mle._CachedTable.__getattr__
+    monkeypatch.setattr(mle._CachedTable, "__getattr__", lambda table, attr: builds.append(attr) or build(table, attr))
+    return builds
+
+
+def test_a_cached_table_searches_at_most_its_limit_over_its_life_then_builds_its_dict_once(tmp_path, cache_home,
+                                                                                            entries_builds):
+    path = tmp_path / "m.model.tsv"
+    expected = MleInferrer(_saved_model(path))
+    assert _counted_load(path)[1] == 1
+    inferrer = MleInferrer(load_model(path))
+    for batch, name in enumerate(["ana", "zed", "bo", "", "cy", "ana\nbo"] * 3):
+        assert inferrer.infer_batch([name]) == expected.infer_batch([name])
+        assert entries_builds == ([] if batch < mle._SEARCHES else ["entries"])
+    assert inferrer.model.table.entries == expected.model.table.entries and entries_builds == ["entries"]
+
+
+def test_a_first_batch_above_the_search_limit_builds_the_cached_dict_at_once(tmp_path, cache_home, entries_builds):
+    path = tmp_path / "m.model.tsv"
+    expected = MleInferrer(_saved_model(path))
+    load_model(path)
+    names = ["ana", "zed", "bo", "cy"] * mle._SEARCHES
+    inferrer = MleInferrer(load_model(path))
+    assert inferrer.infer_batch(names[: mle._SEARCHES + 1]) == expected.infer_batch(names[: mle._SEARCHES + 1])
+    assert entries_builds == ["entries"]
+    assert inferrer.infer_batch(names) == expected.infer_batch(names) and entries_builds == ["entries"]
+
+
+def test_a_two_stage_inferrer_over_a_cached_model_answers_as_over_the_parse(tmp_path, cache_home, entries_builds):
+    path = tmp_path / "m.model.tsv"
+    parsed = _saved_model(path)
+    load_model(path)
+    fallback = MockInferrer("mock", {"zed": (GenderLabel.MALE, 0.2), "bo": (GenderLabel.FEMALE, 1.0)})
+    cached, expected = (TwoStageInferrer(model, fallback, (0.05, 0.5)) for model in (load_model(path), parsed))
+    batches = [["ana", "zed"], ["bo", "zed", "cy"], ["ana"], ["cy", "zed", "bo", "xy"], ["zed"]] * 2
+    assert [cached.infer_batch(names) for names in batches] == [expected.infer_batch(names) for names in batches]
+    assert entries_builds == ["entries"]
 
 
 def test_a_model_rewritten_in_place_is_never_answered_from_the_old_entry(tmp_path, cache_home):
