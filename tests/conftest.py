@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import string
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -15,6 +17,8 @@ settings.register_profile("ci", derandomize=True, print_blob=True)
 # CI runs the SSA and table readers' and the HTTP store's reference properties again under HYPOTHESIS_PROFILE=ci-readers.
 settings.register_profile("ci-readers", parent=settings.get_profile("ci"), max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 VOWELS = "aeiou"
 CONSONANTS = "".join(c for c in string.ascii_lowercase if c not in VOWELS)
@@ -39,6 +43,34 @@ class FakeSession:
         if isinstance(result, Exception):
             raise result
         return result
+
+
+def readme_section(title: str) -> str:
+    """The text of README's `## title` section, up to the next `## ` heading."""
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_blocks(title: str, info: str = "") -> list[str]:
+    """The text of each fenced block of README's `## title` section whose info string is info, without its fences."""
+    blocks = [block.split("\n", 1) for block in readme_section(title).split("```")[1::2]]
+    return [text for head, text in blocks if head == info]
+
+
+def write_readme_inputs(root: Path) -> None:
+    """The input files README's walkthrough and library example read, under root.
+
+    names.csv holds 40 names of one gender each and mary of both. The SSA years give every third of the 40
+    mostly the other gender, so a model of the merged table answers some demo test names wrongly."""
+    names = [first + "a" + second + "o" for first in "bdkn" for second in "mnprstvzgh"]
+    rows = [f"{name},{'F' if i % 2 else 'M'},{i + 1}" for i, name in enumerate(names)] + ["mary,F,95", "mary,M,5"]
+    (root / "names.csv").write_text("name,gender,count\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    year = "".join(f"{name.title()},{'M' if i % 2 else 'F'},3\n" for i, name in enumerate(names) if i % 3 == 0)
+    (root / "ssa").mkdir()
+    for y in range(1937, 2000):
+        (root / "ssa" / f"yob{y}.txt").write_text(year + "Mary,F,9\nMary,M,1\nZoe,F,4\n", encoding="utf-8")
+    (root / "names.txt").write_text("mary\nbamo\nzoe\n", encoding="utf-8")
+    mock = {name: {"label": "female", "p_female": 0.9} for name in names}
+    (root / "mock_predictions.json").write_text(json.dumps(mock), encoding="utf-8")
 
 
 def random_name(rng: random.Random, min_len: int = 2, max_len: int = 10) -> str:

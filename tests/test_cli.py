@@ -11,7 +11,6 @@ import json
 import os
 import random
 import select
-import shlex
 import subprocess
 import sys
 import tempfile
@@ -29,7 +28,7 @@ from namegender.ensemble import build_inferrers
 from namegender.inferrers import HttpAdapter, parse_adapter_config
 from namegender.mle import load_model, save_model, train
 
-from conftest import FakeResponse, FakeSession
+from conftest import FakeResponse, FakeSession, readme_blocks, write_readme_inputs
 
 DATA = Path(__file__).parent / "data"
 
@@ -754,31 +753,15 @@ def test_cli_reuses_a_module_imported_before_it_and_its_lazy_modules_can_be_patc
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    names = [first + "a" + second + "o" for first in "bdkl" for second in "mnprstvzgh"]
-    rows = [f"{name},{'F' if i % 2 else 'M'},{i + 1}" for i, name in enumerate(names)] + ["mary,F,95", "mary,M,5"]
-    (tmp_path / "names.csv").write_text("name,gender,count\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    [example] = readme_blocks("Library use", "python")
+    write_readme_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out
 
 
-def test_readme_walkthrough_command_lines_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command-line walkthrough", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
-    lines = [line.split("namegender ", 1)[1] for line in block.replace("\\\n", " ").splitlines()
-             if "namegender " in line and not line.startswith("#")]  # "echo mary | namegender infer -" too
-    assert len(lines) == 10
-    for line in lines:
-        cli.build_parser().parse_args(shlex.split(line))
-
-
 def test_readme_config_examples_build(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = [block.split("\n", 1)[1] for block in readme.split("```")[1::2]]  # each fenced block's text
-    adapter = next(block for block in blocks if "\nendpoint = " in block)
-    twostage = next(block for block in blocks if "\nmodel = " in block)
+    adapter, twostage = readme_blocks("Inferrer specs")
     (tmp_path / "svc.conf").write_text(adapter, encoding="utf-8")
     (tmp_path / "ens.conf").write_text(twostage, encoding="utf-8")
     (tmp_path / "work").mkdir()
