@@ -61,17 +61,10 @@ def _bins(text: str) -> int:
     return bins
 
 
-# option -> (parser for --config values, built-in default)
-_CONFIG_KEYS = {
-    "seed": (int, None),
-    "out_dir": (str, "."),
-    "format": (_format, "tsv"),
-    "tau": (float, None),  # train falls back to mle.DEFAULT_TAU
-    "test_fraction": (float, 0.1),
-    "bins": (_bins, None),
-}
 # --config key -> its value's parser; an option's key is its name, spelled with "_" or "-"
-_CONFIG_FILE_KEYS = {key: parse for attr, (parse, _) in _CONFIG_KEYS.items() for key in (attr, attr.replace("_", "-"))}
+_CONFIG_KEYS = {key: parse for option, parse in {"seed": int, "out_dir": str, "format": _format, "tau": float,
+                                                  "test_fraction": float, "bins": _bins}.items()
+                for key in (option, option.replace("_", "-"))}
 
 # A command's (out_dir, inputs, configs): main writes the run manifest once the command's data is freed
 _Manifest = tuple[Path, Sequence[str | Path], Sequence[str | Path]]
@@ -416,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # flags shared by several commands; each command takes only those it reads
     common, out_dir, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    common.add_argument("--seed", type=int, default=None, help="seed for any randomness")
-    common.add_argument("--config", default=None, help="key=value file of default option values")
-    out_dir.add_argument("--out-dir", default=None, help="directory for output artifacts")
-    fmt.add_argument("--format", choices=_FORMATS, default=None, help="output format")
+    common.add_argument("--seed", type=int, help="seed for any randomness")
+    common.add_argument("--config", help="key=value file of default option values")
+    out_dir.add_argument("--out-dir", default=".", help="directory for output artifacts")
+    fmt.add_argument("--format", choices=_FORMATS, default="tsv", help="output format")
 
     p = sub.add_parser("ingest", parents=[common, out_dir], help="build a frequency table from a labeled corpus")
     group = p.add_mutually_exclusive_group(required=True)
@@ -441,17 +434,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", parents=[common, out_dir, fmt], help="dataset statistics, uniqueness, and overlap")
     p.add_argument("tables", nargs="+", help="table files")
-    p.add_argument("--bins", type=_bins, default=None, help="also export ambiguity histograms of this many (>= 2) bins")
+    p.add_argument("--bins", type=_bins, help="also export ambiguity histograms of this many (>= 2) bins")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("split", parents=[common, out_dir], help="split a table into train table and test set")
     p.add_argument("table", help="table file")
-    p.add_argument("--test-fraction", type=float, default=None)
+    p.add_argument("--test-fraction", type=float, default=0.1)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", parents=[common, out_dir], help="train a thresholded frequency model")
     p.add_argument("table", help="table file")
-    p.add_argument("--tau", type=float, default=None, help="decision threshold")
+    # cmd_train falls back to mle.DEFAULT_TAU: naming it here would run mle for every command
+    p.add_argument("--tau", type=float, help="decision threshold")
     p.add_argument("--model-id", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -474,24 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inferrer", required=True, help="inferrer spec")
     p.set_defaults(func=cmd_analyze)
 
+    parser.set_defaults(commands=sub.choices)  # command -> its parser, for main's --config defaults
     return parser
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from --config values, then built-in defaults.
-
-    Every --config value is checked as its flag's would be, used or not."""
-    config: dict[str, object] = {}
-    keys: dict[str, str] = {}  # option -> the config key that set it
-    if args.config:
-        for key, value in corpus.parse_kv_file(args.config, _CONFIG_FILE_KEYS).items():
-            attr = key.replace("-", "_")
-            if keys.setdefault(attr, key) != key:
-                raise ValueError(f"{args.config}: config keys {keys[attr]!r} and {key!r} set one option")
-            config[attr] = value
-    for attr, (_, builtin) in _CONFIG_KEYS.items():
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, config.get(attr, builtin))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -499,9 +477,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._argv = ["namegender", *argv]
     try:
-        _apply_config(args)
+        if args.config:
+            # --config values become the command's defaults, so flags beat them and they beat the built-in defaults.
+            # A flag shared through a parent parser is one action in every command's parser, so set_defaults sets
+            # its default for them all; that is harmless only because each call of main builds a new parser.
+            keys: dict[str, str] = {}  # option -> the config key that set it
+            for key, value in corpus.parse_kv_file(args.config, _CONFIG_KEYS).items():  # every value is checked
+                if keys.setdefault(option := key.replace("-", "_"), key) != key:
+                    raise ValueError(f"{args.config}: config keys {keys[option]!r} and {key!r} set one option")
+                args.commands[args.command].set_defaults(**{option: value})
+            args = parser.parse_args(argv)
+        args._argv = ["namegender", *argv]
         manifest = args.func(args)
         if manifest is not None:
             _write_manifest(args, manifest)

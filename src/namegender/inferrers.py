@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 from urllib.parse import quote, urlsplit
 
-from .corpus import GenderCounts, log, parse_kv_file
+from .corpus import GenderCounts, _breaks_line, log, parse_kv_file
 from .mle import GenderLabel, MleModel, Prediction
 
 # Six-way label vocabulary collapsed onto the four labels we score.
@@ -53,6 +53,8 @@ class Inferrer(ABC):
     notes: Sequence[str] = ()  # lines for an evaluation report on the batches answered so far
 
     def __init__(self, id: str) -> None:
+        if _breaks_line(id):  # a report row or output line would gain a field
+            raise ValueError(f"inferrer id {id!r} contains tab or newline")
         self.id = id
         self._unknown = Prediction(GenderLabel.UNKNOWN, None, id)  # every name the inferrer cannot label gets this one
 
@@ -356,7 +358,7 @@ class HttpAdapter(Inferrer):
                 log("WARNING", f"{self.id}: {name!r} -> HTTP {response.status_code}")
                 return None
             return response.text
-        if last_error is not None and not self._reached:  # then every attempt raised a requests error
+        if not self._reached:  # then every attempt raised a requests error
             import requests
             if isinstance(last_error, requests.ConnectionError):
                 raise AdapterUnreachableError(f"{self.id}: endpoint unreachable: {last_error}")

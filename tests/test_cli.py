@@ -703,9 +703,13 @@ def test_a_command_executes_only_the_package_modules_it_uses(corpus_csv, tmp_pat
     infer = ["infer", "-", "--model", str(model)]
     config = tmp_path / "c.conf"
     config.write_text("seed = 1\n", encoding="utf-8")
+    table = tmp_path / "t.table.tsv"
+    corpus.write_table(FrequencyTable({"mary": GenderCounts(95, 5), "pat": GenderCounts(1, 1)}, NameType.FIRST, "t"), table)
     executed = {}
     commands = {"ingest": ingest, "infer": infer, "ingest --config": [*ingest, "--config", str(config)],
-                "failing ingest": [*ingest, "--csv", str(tmp_path / "missing.csv")]}
+                "failing ingest": [*ingest, "--csv", str(tmp_path / "missing.csv")],
+                "combine": ["combine", str(table), "--id", "c", "--out-dir", str(tmp_path / "out")],
+                "stats": ["stats", str(table), str(table), "--bins", "2", "--out-dir", str(tmp_path / "out")]}
     for label, argv in commands.items():
         script = (
             "import sys, types\n"
@@ -726,6 +730,8 @@ def test_a_command_executes_only_the_package_modules_it_uses(corpus_csv, tmp_pat
         "ingest --config": ["0", "False", *registered, "|", "namegender.cli", "namegender.corpus"],
         # main's except clause names only built-in exceptions, so an error runs no further module
         "failing ingest": ["1", "False", *registered, "|", "namegender.cli", "namegender.corpus"],
+        "combine": ["0", "False", *registered, "|", "namegender.cli", "namegender.corpus"],
+        "stats": ["0", "False", *registered, "|", "namegender.cli", "namegender.corpus"],
     }
 
 
@@ -956,6 +962,34 @@ def test_infer_failing_in_a_later_block_leaves_no_out_file(tmp_path, capsys, mon
     assert seen == ["name\tlabel\tp_female\tsource\nana\tfemale\t0.900000\tsvc\n"]
     assert capsys.readouterr().err.startswith("namegender: error: svc: endpoint unreachable: ")
     assert list(out.parent.iterdir()) == []
+
+
+def test_infer_failing_in_a_later_block_keeps_the_lines_it_wrote_to_stdout(tmp_path, capsys, monkeypatch):
+    conf = write_http_conf(tmp_path)
+    warm = HttpAdapter(parse_adapter_config(conf), session=FakeSession(http_body))
+    assert warm.infer_batch(["ana"])[0].label.value == "female"  # the first block is answered from the cache
+    flushed, seen = [], []
+
+    class Stdout(io.StringIO):
+        def flush(self):
+            flushed.append(self.getvalue())
+
+    def refuse(url):
+        seen.append(list(flushed))
+        return requests.ConnectionError("refused")
+
+    stdout = Stdout()
+    monkeypatch.setattr("requests.Session", lambda: FakeSession(refuse))
+    monkeypatch.setattr(cli, "_BLOCK_CHARS", 4)
+    monkeypatch.setattr("sys.stdin", io.StringIO("ana\nzed\n"))
+    monkeypatch.setattr("sys.stdout", stdout)
+    capsys.readouterr()
+    assert run("infer", "-", "--inferrer", f"http:{conf}") == 1
+    first = "name\tlabel\tp_female\tsource\nana\tfemale\t0.900000\tsvc\n"
+    # the first block's lines were written and flushed before the second block was answered, and they stay
+    assert seen == [[first]]
+    assert stdout.getvalue() == first
+    assert capsys.readouterr().err.startswith("namegender: error: svc: endpoint unreachable: ")
 
 
 def test_http_adapter_without_a_cache_fetches_a_name_once_per_block(tmp_path, capsys, monkeypatch):
@@ -1399,6 +1433,17 @@ def test_config_file_supplies_defaults(corpus_csv, tmp_path):
     manifest = json.loads((out / "split.manifest.json").read_text(encoding="utf-8"))
     assert manifest["seed"] == 11
 
+    def split_size(out: Path) -> int:  # test names and excluded ties: the share of the 8 names split off
+        tested = (out / "tiny.test.tsv").read_text(encoding="utf-8").count("\n") - 1
+        return tested + (out / "tiny.ties.txt").read_text(encoding="utf-8").count("\n")
+
+    assert split_size(out) == 2  # round(8 * 0.3); the built-in 0.1 would give 1
+    flags = tmp_path / "flags"
+    assert run("split", str(table_path), "--config", str(config), "--seed", "5", "--test-fraction", "0.5",
+               "--out-dir", str(flags)) == 0
+    assert json.loads((flags / "split.manifest.json").read_text(encoding="utf-8"))["seed"] == 5
+    assert split_size(flags) == 4
+
 
 def test_manifest_digests_the_config_file(corpus_csv, tmp_path):
     out = tmp_path / "out"
@@ -1491,3 +1536,54 @@ def test_unknown_inferrer_kind_rejected(tmp_path, capsys):
     assert run("eval", "--test", str(testset), "--inferrer", "nope:x",
                "--out-dir", str(tmp_path)) == 1
     assert "unknown inferrer kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("id", ["x\ty", "x\ny", "x\ry"])
+def test_eval_refuses_an_inferrer_id_holding_a_tab_or_line_break(tmp_path, capsys, id):
+    model = tmp_path / "m.model.tsv"
+    save_model(train(FrequencyTable({"ana": GenderCounts(9, 1)}, NameType.FIRST, "m")), model)
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female")])
+    capsys.readouterr()
+    # a report row would gain a field
+    assert run("eval", "--test", str(testset), "--inferrer", f"{id}=mle:{model}",
+               "--out-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"namegender: error: inferrer id {id!r} contains tab or newline\n"
+    assert not (tmp_path / "out").exists()
+
+
+_TESTSET = "# testset=d\nana\tfemale\n"
+
+
+# each case: the files written in the test's directory {d}, the command line, and its one error line
+@pytest.mark.parametrize("files, argv, error", [
+    ({}, "ingest --csv {d}/c.csv --name-col name", "--csv requires --name-col and --gender-col"),
+    ({}, "ingest --ssa-dir {d}", "--ssa-dir requires --years"),
+    ({"c.csv": ""}, "ingest --csv {d}/c.csv --name-col name --gender-col gender", "{d}/c.csv: file is empty"),
+    ({"c.conf": "seed\n"}, "split {d}/t.table.tsv --config {d}/c.conf", "{d}/c.conf:1: expected key = value"),
+    ({"t.table.tsv": "# name_type=first\tsource_id=t\npat\t10\t10\nsam\t5\t5\n"},
+     "split {d}/t.table.tsv --seed 1 --test-fraction 0.5", "every sampled test name has tied counts"),
+    ({"d.test.tsv": _TESTSET, "m.json": "{}"}, "eval --test {d}/d.test.tsv --inferrer mock:{d}/m.json --na x",
+     "bad --na value 'x' (expected inferrer=dataset)"),
+    ({"d.test.tsv": _TESTSET}, "eval --test {d}/d.test.tsv --inferrer foo", "bad inferrer spec 'foo' (expected kind:arg)"),
+    ({"d.test.tsv": _TESTSET, "t.conf": "fallback = mock:m.json\n"},
+     "eval --test {d}/d.test.tsv --inferrer twostage:{d}/t.conf", "{d}/t.conf: two-stage config requires model ="),
+    ({"d.test.tsv": "ana\tfemale\n"}, "eval --test {d}/d.test.tsv --inferrer mock:{d}/m.json",
+     "{d}/d.test.tsv:1: missing testset header"),
+    ({"d.test.tsv": "# testset=d\nana\n"}, "eval --test {d}/d.test.tsv --inferrer mock:{d}/m.json",
+     "{d}/d.test.tsv:2: expected name<TAB>gender"),
+    ({"d.test.tsv": _TESTSET, "m.json": "[1]"}, "eval --test {d}/d.test.tsv --inferrer mock:{d}/m.json",
+     "{d}/m.json: expected an object mapping names to entries"),
+    ({"d.test.tsv": _TESTSET, "h.conf": "id = svc\n"}, "eval --test {d}/d.test.tsv --inferrer http:{d}/h.conf",
+     "{d}/h.conf: id and endpoint are required"),
+    ({"d.test.tsv": _TESTSET, "m.json": "{}"}, "analyze --test {d}/d.test.tsv --inferrer mock:{d}/m.json",
+     "no decided predictions to analyze"),
+])
+def test_a_refused_input_fails_with_its_one_error_line(tmp_path, capsys, files, argv, error):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    out_dir = ["--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert run(*argv.format(d=tmp_path).split(), *out_dir) == 1
+    assert capsys.readouterr().err == f"namegender: error: {error.format(d=tmp_path)}\n"
+    assert not (tmp_path / "out").exists()
