@@ -332,6 +332,8 @@ def cmd_infer(args: argparse.Namespace) -> _Manifest | None:
         source = sys.stdin if args.names == "-" else stack.enter_context(open(args.names, encoding="utf-8-sig"))
         try:
             for names in _name_blocks(source):
+                if "\t" in "".join(names):  # its output line would gain a field
+                    raise ValueError(f"{args.names}: name {next(filter(corpus._breaks_line, names))!r} contains a tab")
                 text = format_block(names, inferrer.infer_batch(names))
                 if sink is None:
                     if out_path is None:

@@ -354,38 +354,32 @@ def ingest_ssa_years(
                 # A key of groups passed the field check on its first row and starts with no whitespace, so a
                 # row whose unstripped text before its last comma is a key needs only its count checked.
                 # Any other row, or a count int() refuses unstripped (it refuses "\x1c", which strip()
-                # removes) or below 1, takes the checked path below.
+                # removes) or below 1, takes the checked path. Keep that path short: on CPython 3.11 a jump over
+                # more than 255 code units needs EXTENDED_ARG, so `count < 1` would not specialize (3% of the loop).
                 pair, _, text = line.rpartition(",")
                 group = groups.get(pair)
-                if group is not None:
+                try:
+                    count = 0 if group is None else int(text)
+                except ValueError:
+                    count = 0
+                if count < 1:
+                    line = line.strip()
+                    pair, _, text = line.rpartition(",")
+                    if pair.count(",") != 1:  # not 3 fields
+                        if line:
+                            report.malformed.append((line_no, where + "expected 3 fields"))
+                        continue
                     try:
                         count = int(text)
                     except ValueError:
-                        count = 0
-                    if count >= 1:
-                        group[0] += count
-                        group[1] += 1
+                        report.malformed.append((line_no, f"{where}bad count {text!r}"))
                         continue
-                line = line.strip()
-                pair, _, text = line.rpartition(",")
-                if pair.count(",") != 1:  # not 3 fields
-                    if line:
-                        report.malformed.append((line_no, where + "expected 3 fields"))
-                    continue
-                try:
-                    count = int(text)
-                except ValueError:
-                    report.malformed.append((line_no, f"{where}bad count {text!r}"))
-                    continue
-                if count < 1:
-                    report.malformed.append((line_no, f"{where}count {count} < 1"))
-                    continue
-                group = groups.get(pair)
-                if group is None:
-                    groups[pair] = [count, 1]
-                else:
-                    group[0] += count
-                    group[1] += 1
+                    if count < 1:
+                        report.malformed.append((line_no, f"{where}count {count} < 1"))
+                        continue
+                    group = groups.setdefault(pair, [0, 0])
+                group[0] += count
+                group[1] += 1
     entries = _accumulate(((*pair.split(","), count, rows) for pair, (count, rows) in groups.items()), report)
     if not entries:
         raise EmptyCorpusError(f"{directory}: no records retained for years {years[0]}-{years[-1]}")
@@ -418,16 +412,12 @@ def to_first_names(table: FrequencyTable) -> FrequencyTable:
         pairs = Counter(zip(map(itemgetter(0), map(str.split, table.entries)), table.entries.values()))
     except IndexError:  # a name with no token
         raise ValueError("cannot split an empty full name") from None
-    # raw first token -> (female, male, number of full names): a token starts many full names, so it is spelled once
-    tokens: dict[str, tuple[int, int, int]] = {}
-    for (token, gc), n in pairs.items():
-        female, male, fulls = tokens.get(token, (0, 0, 0))
-        tokens[token] = (female + n * gc.female, male + n * gc.male, fulls + n)
+    spellings: dict[str, str] = {}  # raw first token -> spelling: a token starts many full names, so it is spelled once
     firsts: dict[str, tuple[int, int, int]] = {}  # first token's spelling -> (female, male, number of full names)
-    for token, (female, male, fulls) in tokens.items():
-        first = _spelling(token)
-        f, m, n = firsts.get(first, (0, 0, 0))
-        firsts[first] = (f + female, m + male, n + fulls)
+    for (token, gc), n in pairs.items():
+        first = spellings.get(token) or spellings.setdefault(token, _spelling(token))
+        female, male, fulls = firsts.get(first, (0, 0, 0))
+        firsts[first] = (female + n * gc.female, male + n * gc.male, fulls + n)
     dropped: Counter[Rejection] = Counter()
     entries = _check_spellings(firsts, dropped)
     if dropped:

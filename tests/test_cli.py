@@ -309,6 +309,34 @@ def test_infer_names_file_skips_a_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out == "name\tlabel\tp_female\tsource\nmary\tfemale\t0.950000\tmle:t\n"
 
 
+def test_infer_from_stdin_keeps_a_byte_order_mark_as_part_of_the_first_name(tmp_path, capsys, monkeypatch):
+    model = tmp_path / "t.model.tsv"
+    save_model(train(FrequencyTable({"mary": GenderCounts(95, 5)}, NameType.FIRST, "t"), 0.9), model)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeffmary\nmary\n"))
+    capsys.readouterr()
+    assert run("infer", "-", "--model", str(model)) == 0
+    assert capsys.readouterr().out == ("name\tlabel\tp_female\tsource\n\ufeffmary\tunknown\tNA\tmle:t\n"
+                                       "mary\tfemale\t0.950000\tmle:t\n")
+
+
+@pytest.mark.parametrize("names, bad", [("ma\try\n", "ma\try"), ("mary\n" * 8 + "  bo\tb  \nmary\n", "bo\tb")])
+def test_infer_refuses_a_name_holding_a_tab(tmp_path, capsys, monkeypatch, names, bad):
+    model = tmp_path / "t.model.tsv"
+    save_model(train(FrequencyTable({"mary": GenderCounts(95, 5)}, NameType.FIRST, "t"), 0.9), model)
+    path, out = tmp_path / "names.txt", tmp_path / "out" / "o.tsv"
+    path.write_text(names, encoding="utf-8")
+    monkeypatch.setattr(cli, "_BLOCK_CHARS", 16)  # a few names per block, so the second case fails in a later one
+    capsys.readouterr()
+    assert run("infer", str(path), "--model", str(model), "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"namegender: error: {path}: name {bad!r} contains a tab\n")
+    assert not out.exists()
+    monkeypatch.setattr("sys.stdin", io.StringIO(names))
+    assert run("infer", "-", "--model", str(model)) == 1
+    written, err = capsys.readouterr()
+    assert err == f"namegender: error: -: name {bad!r} contains a tab\n"
+    assert all(line.count("\t") == 3 for line in written.splitlines())
+
+
 def test_infer_structured_output(tmp_path, capsys):
     table = tmp_path / "t.table.tsv"
     table.write_text("# name_type=first\tsource_id=t\nmary\t95\t5\n", encoding="utf-8")
@@ -339,9 +367,10 @@ def test_infer_takes_one_of_model_and_inferrer(tmp_path, capsys):
 
 
 # Table and mock names hold quotes, backslashes, non-ASCII and astral
-# characters; queried names add tabs, case and space variants.
+# characters; queried names add case and space variants, and tabs that
+# strip removes (infer refuses a name holding one).
 TABLE_NAMES = st.text('aAbé"\\ あ\U0001d518', min_size=1, max_size=4).map(str.strip).filter(bool)
-QUERY_NAMES = st.text('aAbé"\\\t あ\U0001d518', min_size=1, max_size=4).map(str.strip).filter(bool)
+QUERY_NAMES = st.text('aAbé"\\ あ\U0001d518', min_size=1, max_size=4).map(str.strip).filter(bool)
 VARIANTS = st.sampled_from([str, str.upper, str.lower, lambda s: f" {s}\t", lambda s: s.replace(" ", "  ")])
 MOCK_ENTRIES = st.sampled_from([
     {"label": "female", "p_female": 1}, {"label": "female", "p_female": True}, {"label": "female", "p_female": 0.875},
@@ -428,7 +457,8 @@ def _unstreamed_infer_output(text, inferrer, structured):
 
 
 STREAM_MODEL = {"ann": (3, 0), "bé": (1, 1), "あい": (0, 2), "zoë": (9, 1)}
-STREAM_NAMES = st.one_of(st.sampled_from(sorted(STREAM_MODEL)), st.text("aBé あ\t\x85\u2028\U0001d518", min_size=1, max_size=5))
+# a tab inside a name is refused (test_infer_refuses_a_name_holding_a_tab), so tabs only pad lines here
+STREAM_NAMES = st.one_of(st.sampled_from(sorted(STREAM_MODEL)), st.text("aBé あ\x85\u2028\U0001d518", min_size=1, max_size=5))
 STREAM_LINES = st.one_of(STREAM_NAMES, STREAM_NAMES.map(lambda n: f"  {n}\t"), st.sampled_from(["", " ", "\t", "\u3000 "]))
 
 
@@ -1326,6 +1356,20 @@ def test_analyze_exports(tmp_path):
     assert "FF\t1\t100.0000" in non_english
     assert (out / "bigrams.tsv").exists()
     assert (out / "trigrams.tsv").exists()
+
+
+def test_analyze_skips_the_ngram_exports_when_every_decided_prediction_is_right(tmp_path, capsys):
+    testset = tmp_path / "demo.test.tsv"
+    write_testset_file(testset, [("ana", "female"), ("bob", "male"), ("kim", "male")])
+    mock = tmp_path / "mock.json"
+    write_mock_file(mock, {"ana": {"label": "female", "p_female": 0.9}, "bob": {"label": "male", "p_female": 0.1}})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("analyze", "--test", str(testset), "--inferrer", f"m=mock:{mock}", "--out-dir", str(out)) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-2:] == ["WARNING skipping bigrams.tsv: ngram_inventory: false category is empty",
+                        "WARNING skipping trigrams.tsv: ngram_inventory: false category is empty"]
+    assert sorted(path.name for path in out.iterdir()) == ["analyze.manifest.json", "lengths.tsv", "non_english.tsv"]
 
 
 def test_each_command_writes_its_diagnostics_to_stderr_as_level_message_lines(tmp_path):

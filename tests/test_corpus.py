@@ -344,6 +344,11 @@ def test_full_table_reduces_to_first_names():
     assert first.entries == {"maria": GenderCounts(3, 0), "john": GenderCounts(0, 3)}
 
 
+def test_to_first_names_returns_a_first_name_table_as_it_is():
+    first = table_of({"ana": (2, 1), "bo": (0, 3)})
+    assert to_first_names(first) is first
+
+
 def test_to_first_names_drops_invalid_first_tokens():
     full = FrequencyTable({"a garcia": GenderCounts(1, 0), "bo diaz": GenderCounts(1, 0)}, NameType.FULL, "v")
     first = to_first_names(full)
@@ -430,6 +435,11 @@ def test_uniqueness_identical_tables():
 def test_uniqueness_needs_two_tables():
     with pytest.raises(ValueError):
         cross_dataset_uniqueness([table_of({"a": (1, 0)})])
+
+
+def test_overlap_needs_two_tables():
+    with pytest.raises(ValueError, match="^need at least two tables$"):
+        pairwise_overlap([table_of({"a": (1, 0)})])
 
 
 def test_overlap_counts_and_row_percentages():

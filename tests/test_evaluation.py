@@ -403,6 +403,15 @@ def test_testset_round_trip(tmp_path):
     assert read_testset(path) == ts
 
 
+def test_read_testset_skips_a_blank_line_and_still_counts_it(tmp_path):
+    path = tmp_path / "demo.test.tsv"
+    path.write_text("# testset=demo\nana\tfemale\n\nbob\tmale\n", encoding="utf-8")
+    assert read_testset(path) == LabeledTestSet("demo", (("ana", F), ("bob", M)))
+    path.write_text("# testset=demo\nana\tfemale\n\nbob\tmal\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r":4: bad gender 'mal'"):
+        read_testset(path)
+
+
 def test_testset_rejects_bad_labels():
     with pytest.raises(ValueError):
         LabeledTestSet("t", (("ana", GenderLabel.AMBIGUOUS),))
