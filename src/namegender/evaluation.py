@@ -324,6 +324,8 @@ def read_testset(path: str | Path) -> LabeledTestSet:
         if not first.startswith("# testset="):
             raise TableParseError(path, 1, "missing testset header")
         set_id = first[len("# testset=") :]
+        if "\t" in set_id:  # a report row would gain a field
+            raise TableParseError(path, 1, f"test-set id {set_id!r} contains a tab")
         for line_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:

@@ -113,31 +113,31 @@ def save_model(model: MleModel, path: str | Path) -> None:
 
 
 class _CachedTable(FrequencyTable):
-    """A cache entry's table. Until entries is first read, a name is found in the entry's "\n"-joined names,
+    """A cache entry's table. Until entries is first read, a name is found in the entry's names, each framed by "\n",
     and the number of names before it indexes its counts; the table searches at most _SEARCHES names in its life."""
 
     def __init__(self, names: str, index: memoryview, shared: list[GenderCounts], name_type: NameType, source_id: str):
-        if str.count(names, "\n") + 1 != len(index) or max(index) >= len(shared):
+        if str.count(names, "\n") - 1 != len(index) or max(index) >= len(shared):
             raise ValueError("cache entry's names, indexes and pairs do not match")
-        self._parts, self._size, self._searches, self._lock = (names, index, shared), len(index), 0, Lock()
-        self.name_type, self.source_id = name_type, source_id
+        self._parts, self._entries, self._size, self._searches = (names, index, shared), None, len(index), 0
+        self._lock, self.name_type, self.source_id = Lock(), name_type, source_id
 
     def __len__(self) -> int:
         return self._size
 
-    def __getattr__(self, attr: str) -> dict[str, GenderCounts]:
-        if attr != "entries":
-            raise AttributeError(attr)
+    @property
+    def entries(self) -> dict[str, GenderCounts]:
         with self._lock:  # one thread builds entries; another that reads them meanwhile waits for them
-            if "entries" not in vars(self):
-                names, index, shared = self.__dict__.pop("_parts")
-                names = names.split("\n")  # frees the joined names before the dict is built
-                self.entries = dict(zip(names, map(shared.__getitem__, index)))
-        return self.entries
+            if self._entries is None:
+                (names, index, shared), self._parts = self._parts, None
+                names = names.split("\n")  # frees the framed names before the dict is built
+                del names[0]  # the leading "", in place; zip stops before the trailing ""
+                self._entries = dict(zip(names, map(shared.__getitem__, index)))
+        return self._entries
 
     def lookup(self, names: Sequence[str]) -> Iterable[GenderCounts | None]:
         self._searches += len(names)
-        parts = vars(self).get("_parts") if self._searches <= _SEARCHES else None
+        parts = self._parts if self._searches <= _SEARCHES else None
         if parts is None:  # past the limit, or built: the dict answers, and no part of the entry is held here
             return super().lookup(names)
         text, index, shared = parts
@@ -145,15 +145,9 @@ class _CachedTable(FrequencyTable):
 
 
 def _place(text: str, name: str) -> int:
-    """The place of name among the "\n"-joined names in text, or -1 where it is none of them."""
-    if "\n" in name:
-        return -1
-    if text == name or text.startswith(name + "\n"):
-        return 0
-    at = text.find(f"\n{name}\n")
-    if at < 0:
-        return text.count("\n") if text.endswith("\n" + name) else -1
-    return text.count("\n", 0, at) + 1
+    """The place of name among the names in text, each framed by "\n", or -1 where it is none of them."""
+    at = -1 if "\n" in name else text.find(f"\n{name}\n")
+    return at if at < 0 else text.count("\n", 0, at)
 
 
 def load_model(path: str | Path) -> MleModel:
@@ -161,19 +155,20 @@ def load_model(path: str | Path) -> MleModel:
     import marshal
     cache = os.environ.get("XDG_CACHE_HOME", "")  # XDG ignores a relative value; with no home known, "~" stays relative
     entry = Path(cache if os.path.isabs(cache) else os.path.expanduser("~/.cache"), "namegender", file_sha256(path))
-    try:  # an entry: (name_type, source_id, extras), the "\n"-joined names, array("I") indexes into pairs, pairs
+    # an entry: (name_type, source_id, extras), the names framed by "\n", array("I") indexes into pairs, pairs
+    with contextlib.suppress(OSError, EOFError, ValueError, TypeError, KeyError, IndexError, AttributeError):
         (name_type, source_id, extras), names, index, pairs = marshal.loads(entry.read_bytes() if entry.is_absolute() else b"")
         shared = [GenderCounts(*pair) for pair in pairs]
-        table, parsed = _CachedTable(names, memoryview(index).cast("I"), shared, NameType(name_type), source_id), False
-    except (OSError, EOFError, ValueError, TypeError, KeyError, IndexError, AttributeError):  # no entry, or an unusable one
-        (table, extras), parsed = read_table_with_header(path), True
+        table = _CachedTable(names, memoryview(index).cast("I"), shared, NameType(name_type), source_id)
+        return train(table, float(extras["tau"]), extras.get("model_id"))
+    table, extras = read_table_with_header(path)  # no entry, or an unusable one
     try:
         model = train(table, float(extras["tau"]), extras.get("model_id"))
     except KeyError:
         raise TableParseError(path, 1, "model file lacks tau header field") from None
     except ValueError as exc:  # tau is no number or outside [0.5, 1.0], or the table is empty
         raise TableParseError(path, 1, str(exc)) from None
-    if parsed and entry.is_absolute():  # store it, unless its directory cannot be written or the file changed since hashed
+    if entry.is_absolute():  # store it, unless its directory cannot be written or the file changed since hashed
         with contextlib.suppress(OSError):
             entry.parent.mkdir(parents=True, exist_ok=True)
             if os.access(entry.parent, os.W_OK) and file_sha256(path) == entry.name:
@@ -183,7 +178,8 @@ def load_model(path: str | Path) -> MleModel:
                 fields = table.name_type.value, table.source_id, extras
                 temp = entry.with_name(f"{entry.name}.{os.getpid()}")
                 try:
-                    temp.write_bytes(marshal.dumps((fields, "\n".join(table.entries), index.tobytes(), [*map(tuple, ids)]), 2))
+                    names = "\n".join(["", *table.entries, ""])
+                    temp.write_bytes(marshal.dumps((fields, names, index.tobytes(), [*map(tuple, ids)]), 2))
                     temp.replace(entry)
                 finally:  # a failed write or replace leaves no temporary file
                     temp.unlink(missing_ok=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import csv
 import gc
 import hashlib
 import importlib.util
@@ -1596,6 +1597,60 @@ def test_eval_refuses_an_inferrer_id_holding_a_tab_or_line_break(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def _keeps_its_field_counts(path: Path) -> bool:
+    """Whether each line of a TSV file the program wrote has its header's field count. The fields after the first
+    of a "# " line are key=value; an ingest report's lines are key<TAB>value, and malformed.line has three fields."""
+    *lines, end = path.read_text(encoding="utf-8").split("\n")
+    notes = [line.split("\t")[1:] for line in lines if line.startswith("# ")]
+    rows = [line.split("\t") for line in lines if not line.startswith("# ")]
+    report = path.name.endswith(".ingest-report.tsv")
+    whole = all(len(row) == (2 + (row[0] == "malformed.line") if report else len(rows[0])) for row in rows)
+    return end == "" and whole and all("=" in field for fields in notes for field in fields)
+
+
+# names and ids that a TSV field cannot carry as they are
+_BREAKING = st.text("ab\t\r\n", min_size=1, max_size=4)
+
+
+@settings(deadline=None)
+@given(st.lists(_BREAKING, min_size=1, max_size=4, unique=True), _BREAKING, _BREAKING, _BREAKING)
+def test_every_tsv_line_the_program_writes_has_its_header_field_count(names, source_id, set_id, inferrer_id):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        model, table, test = str(d / "m.model.tsv"), str(d / "t.table.tsv"), str(d / "d.test.tsv")
+        save_model(train(FrequencyTable({"a": GenderCounts(19, 1), "b": GenderCounts(1, 19)}, NameType.FIRST, "m")), model)
+        labels = [("female", "male")[i % 2] for i in range(len(names))]
+        with open(d / "c.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("name", "gender"), *zip(names, labels)])
+        Path(table).write_text(f"# name_type=first\tsource_id={source_id}\n" + "".join(f"{n}\t3\t1\n" for n in names),
+                               encoding="utf-8")
+        Path(test).write_text(f"# testset={set_id}\n" + "".join(f"{n}\t{g}\n" for n, g in zip(names, labels)),
+                              encoding="utf-8")
+        (d / "names.txt").write_text("".join(f"{n}\n" for n in names), encoding="utf-8")
+        spec = f"{inferrer_id}=mle:{model}"
+        commands = [
+            ["ingest", "--csv", str(d / "c.csv"), "--name-col", "name", "--gender-col", "gender",
+             "--source-id", source_id],
+            ["stats", table, model, "--bins", "2"],
+            ["split", table, "--seed", "1", "--test-fraction", "0.5"],
+            ["infer", str(d / "names.txt"), "--inferrer", spec],
+            ["eval", "--test", test, "--inferrer", spec],
+            ["eval", "--test", test, "--inferrer", f"mle:{model}"],
+            ["analyze", "--test", test, "--inferrer", f"mle:{model}"],
+        ]
+        for i, argv in enumerate(commands):
+            out_dir, err = d / f"out{i}", io.StringIO()
+            out = ["--out", str(out_dir / "o.tsv")] if argv[0] == "infer" else ["--out-dir", str(out_dir)]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = run(*argv, *out)
+            if status:  # refused: one error line
+                assert status == 1 and err.getvalue().startswith("namegender: error: ")
+                assert err.getvalue().count("\n") == 1
+            else:
+                written = sorted(out_dir.glob("*.tsv"))
+                assert written and all(map(_keeps_its_field_counts, written)), (argv, written)
+
+
 _TESTSET = "# testset=d\nana\tfemale\n"
 
 
@@ -1622,6 +1677,9 @@ _TESTSET = "# testset=d\nana\tfemale\n"
      "{d}/h.conf: id and endpoint are required"),
     ({"d.test.tsv": _TESTSET, "m.json": "{}"}, "analyze --test {d}/d.test.tsv --inferrer mock:{d}/m.json",
      "no decided predictions to analyze"),
+    # a report row would gain a field
+    ({"d.test.tsv": "# testset=a\tb\nana\tfemale\n", "m.json": "{}"},
+     "eval --test {d}/d.test.tsv --inferrer mock:{d}/m.json", "{d}/d.test.tsv:1: test-set id 'a\\tb' contains a tab"),
 ])
 def test_a_refused_input_fails_with_its_one_error_line(tmp_path, capsys, files, argv, error):
     for name, text in files.items():

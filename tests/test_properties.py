@@ -674,8 +674,8 @@ def test_a_cached_model_load_equals_the_parse_it_kept(table, tau, model_id, extr
         assert parses == 0 and _same_model(second, expected)
 
 
-# Names a cached table's search must tell apart: two keys joined by "\n" match "\n"-joined names, and a
-# key with a tab or line break added, or "", is near a key
+# Names a cached table's search must tell apart: two keys joined by "\n" match the entry's "\n"-framed names,
+# and a key with a tab or line break added, or "", is near a key
 @settings(deadline=None)
 @given(*MODEL_FILES, st.lists(st.text(max_size=4), max_size=3))
 def test_one_name_batches_on_a_cached_model_answer_as_the_parse_of_its_file(table, tau, model_id, extra, others):
@@ -692,7 +692,7 @@ def test_one_name_batches_on_a_cached_model_answer_as_the_parse_of_its_file(tabl
             inferrer = MleInferrer(cached)
             for name in names[start : start + mle._SEARCHES]:
                 assert inferrer.infer_batch([name]) == expected.infer_batch([name]), name
-            assert parses == 0 and "entries" not in vars(cached.table)
+            assert parses == 0 and cached.table._entries is None
 
 
 @pytest.fixture
@@ -709,8 +709,15 @@ def _saved_model(path: Path, female: int = 95) -> MleModel:
     return model
 
 
-# An entry is ((name_type, source_id, extras), "\n"-joined names, array("I") bytes indexing pairs, pairs).
+# An entry is ((name_type, source_id, extras), names framed by "\n", array("I") bytes indexing pairs, pairs).
 _HEADER = ("first", "t", {"tau": "0.8"})
+_NAMES, _INDEX, _PAIRS = "\nana\nbo\ncy\n", b"\0\0\0\0\1\0\0\0\1\0\0\0", [(95, 5), (1, 9)]
+
+
+def _with_extras(good: bytes, extras: object) -> bytes:
+    """The entry good with extras in place of its header fields."""
+    (name_type, source_id, _), *rest = marshal.loads(good)
+    return marshal.dumps(((name_type, source_id, extras), *rest))
 
 
 @pytest.mark.parametrize("damage", [
@@ -719,12 +726,18 @@ _HEADER = ("first", "t", {"tau": "0.8"})
     lambda good: random.Random(0).randbytes(len(good)),
     lambda good: marshal.dumps([1, 2, 3]),
     lambda good: marshal.dumps(("a", "b", "c", "d")),
-    lambda good: marshal.dumps((_HEADER, "ana\nbo\ncy", b"\0\0\0\0\1\0\0\0\7\0\0\0", [(95, 5), (1, 9)])),
-    lambda good: marshal.dumps((_HEADER, "ana\nbo", b"\0\0\0\0\1\0\0\0\1\0\0\0", [(95, 5), (1, 9)])),
-    lambda good: marshal.dumps((_HEADER, "ana\nbo\ncy", b"\0\0\0\0\1\0\0", [(95, 5), (1, 9)])),
-    lambda good: marshal.dumps((("second", "t", {}), "ana\nbo\ncy", b"\0" * 12, [(95, 5)])),
+    lambda good: marshal.dumps((_HEADER, _NAMES, b"\0\0\0\0\1\0\0\0\7\0\0\0", _PAIRS)),
+    lambda good: marshal.dumps((_HEADER, "\nana\nbo\n", _INDEX, _PAIRS)),
+    lambda good: marshal.dumps((_HEADER, _NAMES, b"\0\0\0\0\1\0\0", _PAIRS)),
+    lambda good: marshal.dumps((("second", "t", {}), _NAMES, b"\0" * 12, [(95, 5)])),
+    lambda good: _with_extras(good, {}),
+    lambda good: _with_extras(good, []),
+    lambda good: _with_extras(good, {"tau": "x"}),
+    lambda good: _with_extras(good, {"tau": "0.3"}),
+    lambda good: marshal.dumps((_HEADER, "ana\nbo\ncy", _INDEX, _PAIRS)),
 ], ids=["truncated", "empty", "random-bytes", "list", "four-strings", "index-past-pairs", "fewer-names",
-        "ragged-index", "bad-name-type"])
+        "ragged-index", "bad-name-type", "no-header-fields", "header-fields-a-list", "tau-no-number",
+        "tau-out-of-range", "unframed-names"])
 def test_an_unusable_cache_entry_is_parsed_again_and_rewritten(tmp_path, cache_home, damage):
     path = tmp_path / "m.model.tsv"
     model = _saved_model(path)
@@ -785,8 +798,9 @@ def test_the_cache_entry_layout_is_pinned_and_an_entry_in_it_is_a_hit(tmp_path, 
     model = _saved_model(path)
     assert _counted_load(path) == (model, 1)
     pairs = [(95, 5), (1, 9)]
-    assert _cache_entry(path).read_bytes() == marshal.dumps((_HEADER, "ana\nbo\ncy", array("I", [0, 1, 1]).tobytes(), pairs), 2)
-    _cache_entry(path).write_bytes(marshal.dumps((_HEADER, "cy\nana\nbo", array("I", [1, 0, 1]).tobytes(), pairs), 2))
+    framed = marshal.dumps((_HEADER, "\nana\nbo\ncy\n", array("I", [0, 1, 1]).tobytes(), pairs), 2)
+    assert _cache_entry(path).read_bytes() == framed
+    _cache_entry(path).write_bytes(marshal.dumps((_HEADER, "\ncy\nana\nbo\n", array("I", [1, 0, 1]).tobytes(), pairs), 2))
     assert _counted_load(path) == (model, 0)
 
 
@@ -803,8 +817,9 @@ def test_an_entry_whose_names_are_not_one_text_is_parsed_again_and_rewritten(tmp
 def entries_builds(monkeypatch) -> list[str]:
     """One item per time a cached table builds its entries dict."""
     builds: list[str] = []
-    build = mle._CachedTable.__getattr__
-    monkeypatch.setattr(mle._CachedTable, "__getattr__", lambda table, attr: builds.append(attr) or build(table, attr))
+    build = mle._CachedTable.entries.fget
+    monkeypatch.setattr(mle._CachedTable, "entries",
+                        property(lambda table: (table._entries is None and builds.append("entries")) or build(table)))
     return builds
 
 
